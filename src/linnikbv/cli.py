@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,23 +22,6 @@ from typing import Optional
 from . import lemmas, linnik
 from .errors import ConfigurationError, PreconditionError
 from .sieve import Params, primes_up_to
-
-LEMMA_IDS = (
-    "hooley1",
-    "brun_titchmarsh",
-    "count_n",
-    "f_progression",
-    "estimate_b",
-    "omega_power",
-    "hooley13",
-    "hooley13q",
-    "hooley14",
-    "hooley15",
-    "murty",
-    "epq",
-)
-
-SCAN_IDS = ("hooley1", "murty", "omega_power", "hooley13", "hooley13q")
 
 
 class UsageError(Exception):
@@ -58,7 +40,6 @@ class RunConfig:
     q: Optional[int] = None
     y: Optional[int] = None
     output_format: str = "csv"
-    cache_dir: Optional[str] = None
     threads: int = 1
     extra: dict = field(default_factory=dict)
 
@@ -116,8 +97,13 @@ def emit_report(rows, fmt, command, params, columns) -> str:
     return buf.getvalue()
 
 
+def _value(config, name):
+    value = getattr(config, name, None)
+    return config.extra.get(name) if value is None else value
+
+
 def _require(config, *names):
-    missing = [n for n in names if getattr(config, n, None) is None and config.extra.get(n) is None]
+    missing = [n for n in names if _value(config, n) is None]
     if missing:
         raise UsageError(
             f"command '{config.command}' requires --{', --'.join(m.replace('_', '-') for m in missing)}"
@@ -125,124 +111,57 @@ def _require(config, *names):
 
 
 def _params(config, need_A=True) -> Params:
+    _require(config, "x", *(["A"] if need_A else []))
     a_val = float(config.A) if config.A is not None else 0.0
-    if need_A:
-        _require(config, "x", "A")
-    else:
-        _require(config, "x")
-    return Params(
-        config.x, a_val, config.a, override_exponent=config.override_exponent
-    )
+    return Params(config.x, a_val, config.a, override_exponent=config.override_exponent)
 
 
-def _lemma_report_row(report: lemmas.LemmaReport):
-    columns = ["lemma", *sorted(report.inputs), "lhs", "envelope", "ratio"]
-    row = {"lemma": report.lemma_id, **report.inputs}
-    row.update(lhs=report.lhs, envelope=report.envelope, ratio=report.ratio)
-    return columns, row
+def _checker_inputs(config, checker):
+    """Params and report inputs read from the flags named in a checker entry."""
+    attrs = {name: flag[2:].replace("-", "_") for name, flag in checker.inputs}
+    required = [attrs[name] for name in attrs if name not in checker.defaults]
+    _require(config, *(["x"] if checker.needs_params else []), *required)
+    params = _params(config, need_A=False) if checker.needs_params else None
+    return params, {name: _value(config, attr) for name, attr in attrs.items()}
 
 
 def _run_lemma(config):
     lemma_id = config.extra["lemma_id"]
-    ex = config.extra
-    if lemma_id == "hooley1":
-        _require(config, "x")
-        rep = lemmas.report(
-            "hooley1", X=config.x, omega=config.omega or 1.0, cache_dir=config.cache_dir
-        )
-    elif lemma_id == "brun_titchmarsh":
-        _require(config, "x", "q")
-        rep = lemmas.report("brun_titchmarsh", X=config.x, q=config.q, a=config.a)
-        columns, row = _lemma_report_row(rep)
+    if lemma_id == "epq":
+        _require(config, "x", "p", "q")
+        p = config.extra["p"]
+        count, signed = lemmas._epq_scan(p, config.q, _params(config, need_A=False))
+        row = {"p": p, "q": config.q, "E": count, "F": signed}
+        return [row], ["p", "q", "E", "F"], {"lemma": "epq", "x": config.x, "a": config.a}
+    params, inputs = _checker_inputs(config, lemmas.CHECKERS[lemma_id])
+    rep = lemmas.report(lemma_id, params=params, **inputs)
+    columns = ["lemma", *sorted(rep.inputs), "lhs", "envelope", "ratio"]
+    row = {"lemma": lemma_id, **rep.inputs}
+    row.update(lhs=rep.lhs, envelope=rep.envelope, ratio=rep.ratio)
+    if lemma_id == "brun_titchmarsh":
         columns.append("holds")
         row["holds"] = rep.ratio < 1.0
-        return [row], columns, {"lemma": rep.lemma_id, **rep.inputs}
-    elif lemma_id == "count_n":
-        _require(config, "n", "r")
-        rep = lemmas.report("count_n", n=ex["n"], r=ex["r"])
-    elif lemma_id == "f_progression":
-        _require(config, "x", "y", "q")
-        rep = lemmas.report(
-            "f_progression", params=_params(config, need_A=False), y=config.y,
-            k=config.q, a=config.a,
-        )
-    elif lemma_id == "estimate_b":
-        _require(config, "x", "y")
-        rep = lemmas.report("estimate_b", params=_params(config, need_A=False), y=config.y)
-    elif lemma_id == "omega_power":
-        _require(config, "y", "alpha")
-        rep = lemmas.report("omega_power", y=config.y, alpha=config.alpha)
-    elif lemma_id == "hooley13":
-        _require(config, "y", "alpha")
-        rep = lemmas.report(
-            "hooley13", y=config.y, alpha=config.alpha, omega=config.omega or 1.0
-        )
-    elif lemma_id == "hooley13q":
-        _require(config, "y", "alpha", "q")
-        rep = lemmas.report("hooley13q", y=config.y, alpha=config.alpha, q=config.q)
-    elif lemma_id == "hooley14":
-        _require(config, "x", "y", "r", "s", "n", "l_max")
-        rep = lemmas.report(
-            "hooley14", params=_params(config, need_A=False),
-            r=ex["r"], s=ex["s"], n=ex["n"], y=config.y, L=ex["l_max"],
-        )
-    elif lemma_id == "hooley15":
-        _require(config, "x", "u", "n", "which")
-        rep = lemmas.report(
-            "hooley15", params=_params(config, need_A=False),
-            u=ex["u"], u_prime=ex.get("u_prime") or ex["u"],
-            omega=config.omega or 1.0, n=ex["n"], which=ex["which"],
-        )
-    elif lemma_id == "murty":
-        _require(config, "x")
-        rep = lemmas.report("murty", X=config.x)
-    elif lemma_id == "epq":
-        _require(config, "x", "p", "q")
-        params = _params(config, need_A=False)
-        count, signed = lemmas._epq_scan(ex["p"], config.q, params)
-        row = {"p": ex["p"], "q": config.q, "E": count, "F": signed}
-        return [row], ["p", "q", "E", "F"], {"lemma": "epq", "x": config.x, "a": config.a}
-    else:
-        raise UsageError(f"unknown lemma id: {lemma_id}")
-    columns, row = _lemma_report_row(rep)
-    return [row], columns, {"lemma": rep.lemma_id, **rep.inputs}
+    return [row], columns, {"lemma": lemma_id, **rep.inputs}
 
 
-def _scan_grid(maximum, minimum):
+def _scan_grid(maximum):
     grid = []
     point = 100
     while point <= maximum:
-        if point >= minimum:
-            grid.append(point)
+        grid.append(point)
         point *= 10
     return grid or [maximum]
 
 
 def _run_scan(config):
     lemma_id = config.extra["lemma_id"]
+    checker = lemmas.CHECKERS[lemma_id]
+    params, inputs = _checker_inputs(config, checker)
+    var = dict(checker.inputs)[checker.scan][2:]
     rows = []
-    if lemma_id in ("hooley1", "murty"):
-        _require(config, "x")
-        var, grid = "x", _scan_grid(config.x, 16 if lemma_id == "hooley1" else 2)
-    else:
-        _require(config, "y")
-        var, grid = "y", _scan_grid(config.y, 16)
-    for point in grid:
-        if lemma_id == "hooley1":
-            rep = lemmas.report("hooley1", X=point, omega=config.omega or 1.0,
-                                cache_dir=config.cache_dir)
-        elif lemma_id == "murty":
-            rep = lemmas.report("murty", X=point)
-        elif lemma_id == "omega_power":
-            _require(config, "alpha")
-            rep = lemmas.report("omega_power", y=point, alpha=config.alpha)
-        elif lemma_id == "hooley13":
-            _require(config, "alpha")
-            rep = lemmas.report("hooley13", y=point, alpha=config.alpha,
-                                omega=config.omega or 1.0)
-        else:
-            _require(config, "alpha", "q")
-            rep = lemmas.report("hooley13q", y=point, alpha=config.alpha, q=config.q)
+    for point in _scan_grid(inputs[checker.scan]):
+        inputs[checker.scan] = point
+        rep = lemmas.report(lemma_id, params=params, **inputs)
         rows.append({var: point, "lhs": rep.lhs, "envelope": rep.envelope, "ratio": rep.ratio})
     params = {"lemma": lemma_id, "points": len(rows)}
     return rows, [var, "lhs", "envelope", "ratio"], params
@@ -285,7 +204,7 @@ def render(config: RunConfig) -> str:
         params = _params(config)
         result = linnik.decompose(params, threads=config.threads)
         total = result.total
-        ratio = float(result.lhs / total) if total else 0.0
+        ratio = float(result.lhs / total) if total else None
         meta = {
             "x": params.X, "A": params.A, "a": params.a,
             "override_exponent": params.override_exponent,
@@ -303,7 +222,7 @@ def render(config: RunConfig) -> str:
             list(meta) + ["S1", "S2", "S3", "S4", "total", "lhs", "ratio"],
         )
     if cmd == "constant":
-        tol = config.extra.get("tolerance") or 1e-8
+        tol = config.extra["tolerance"]
         res = linnik.linnik_constant(tol)
         return emit_report(
             [{
@@ -317,11 +236,8 @@ def render(config: RunConfig) -> str:
         return emit_report(
             [{"value": linnik.theta0()}], config.output_format, cmd, {}, ["value"]
         )
-    if cmd == "lemma":
-        rows, columns, meta = _run_lemma(config)
-        return emit_report(rows, config.output_format, cmd, meta, columns)
-    if cmd == "scan":
-        rows, columns, meta = _run_scan(config)
+    if cmd in ("lemma", "scan"):
+        rows, columns, meta = (_run_lemma if cmd == "lemma" else _run_scan)(config)
         return emit_report(rows, config.output_format, cmd, meta, columns)
     raise UsageError(f"unknown command: {cmd}")
 
@@ -336,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="output_format")
-    common.add_argument("--cache-dir", default=None,
-                        help="directory for binary sieve segment caches "
-                        "(fallback: LINNIK_CACHE_DIR)")
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--x", type=int)
     common.add_argument("--A", type=float)
@@ -354,9 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     constant = sub.add_parser("constant", parents=[common])
     constant.add_argument("--tolerance", type=float, default=1e-8)
     lemma = sub.add_parser("lemma", parents=[common])
-    lemma.add_argument("lemma_id", choices=LEMMA_IDS)
+    lemma.add_argument("lemma_id", choices=(*lemmas.CHECKERS, "epq"))
     scan = sub.add_parser("scan", parents=[common])
-    scan.add_argument("lemma_id", choices=SCAN_IDS)
+    scan.add_argument(
+        "lemma_id", choices=[i for i, c in lemmas.CHECKERS.items() if c.scan]
+    )
     for p in (lemma, scan):
         p.add_argument("--n", type=int)
         p.add_argument("--r", type=int)
@@ -388,7 +303,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         q=ns.q,
         y=ns.y,
         output_format=ns.output_format,
-        cache_dir=ns.cache_dir or os.environ.get("LINNIK_CACHE_DIR"),
         threads=ns.threads,
         extra=extra,
     )

@@ -13,25 +13,27 @@ term count exceeds EXACT_SUM_TERM_LIMIT; below it, results are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
+from .linnik import theta0
 from .sieve import (
+    BULK_TABLE_LIMIT,
+    DEFAULT_SEGMENT_LENGTH,
     Params,
     divisors_of,
     f_enveloping,
-    factor_table_cached,
+    factor_table,
     omega_table,
     prime_array,
     totient_table,
-    DEFAULT_SEGMENT_LENGTH,
 )
 
 Real = Union[int, float, Fraction]
@@ -75,9 +77,7 @@ def _sum_fractions(terms: list[Fraction]) -> Union[Fraction, float]:
     return math.fsum(float(t) for t in terms)
 
 
-def hooley1_lhs(
-    X: int, omega: float = 1.0, cache_dir: Optional[str] = None
-) -> int:
+def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """Sum over p <= X of |sum of chi over divisors of p-1 in the middle window|.
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
@@ -90,11 +90,7 @@ def hooley1_lhs(
     log_x = math.log(X)
     lo = math.sqrt(X) * log_x**-omega
     hi = math.sqrt(X) * log_x**omega
-    table = (
-        factor_table_cached(1, X + 1, cache_dir)
-        if X + 1 <= DEFAULT_SEGMENT_LENGTH
-        else None
-    )
+    table = factor_table(1, X + 1) if X + 1 <= DEFAULT_SEGMENT_LENGTH else None
     total = 0
     for p in prime_array(X):
         inner = 0
@@ -156,7 +152,7 @@ def estimate_B(params: Params, y: int) -> Fraction:
 
 def _omega_values(limit: int):
     """Omega lookup for 1..limit, bulk when the table fits, direct otherwise."""
-    if limit <= 1 << 22:
+    if limit <= BULK_TABLE_LIMIT:
         table = omega_table(limit)
         return lambda n: int(table[n])
     return arith.omega_big
@@ -340,87 +336,140 @@ def f_pq(p: int, q: int, params: Params) -> int:
     return _epq_scan(p, q, params)[1]
 
 
-# --- envelope shapes and reporting --------------------------------------
-
-THETA0 = 0.5 - 0.25 * math.e * math.log(2.0)
+# --- the checker table ---------------------------------------------------
 
 
-def _report(lemma_id, inputs, lhs, envelope) -> LemmaReport:
-    # Sign-indefinite sums keep their sign in lhs; the ratio is a magnitude.
-    return LemmaReport(lemma_id, dict(inputs), lhs, envelope, abs(float(lhs)) / envelope)
+@dataclass(frozen=True)
+class Checker:
+    """One lemma checker as report() and the CLI see it.
+
+    inputs pairs each report input name with its CLI flag, in report order.
+    compute(params, **inputs) returns (lhs, envelope).  A default may be a
+    callable of the inputs resolved before it.  scan names the input that a
+    decade scan sweeps, or is None for a checker that is not scanned.
+    """
+
+    inputs: tuple[tuple[str, str], ...]
+    compute: Callable[..., tuple[Real, float]]
+    defaults: dict = field(default_factory=dict)
+    needs_params: bool = False
+    scan: Optional[str] = None
+
+
+def _hooley1(params, X, omega):
+    return hooley1_lhs(X, omega), X * _loglog(X) ** 5 / math.log(X) ** (1.0 + theta0())
+
+
+def _brun_titchmarsh(params, X, q, a):
+    res = brun_titchmarsh_check(X, q, a)
+    return res.count, res.bound
+
+
+def _count_n(params, n, r):
+    return count_N(n, r), n**2 / (arith.euler_phi(n * r) * math.log(n / r) ** 2)
+
+
+def _f_progression(params, y, k, a):
+    lhs = f_progression_sum(y, k, a, params)
+    X = params.X
+    return lhs, _loglog(X) ** 2 / math.log(X) * y / arith.euler_phi(k)
+
+
+def _estimate_b(params, y):
+    return estimate_B(params, y), _loglog(params.X) ** 2 / math.log(params.X)
+
+
+def _omega_power(params, y, alpha):
+    return omega_power_sum(y, alpha), y * math.log(2.0 * y) ** (float(alpha) - 1.0)
+
+
+def _hooley13(params, y, alpha, omega):
+    lhs = hooley13_sum(y, alpha, omega)
+    return lhs, math.log(y) ** (gamma_alpha(alpha) - 1.0) * _loglog(y)
+
+
+def _hooley13q(params, y, alpha, q):
+    lhs = hooley13q_sum(y, alpha, q)
+    env = float(alpha) ** arith.omega_big(q) / q * math.log(y) ** gamma_alpha(alpha)
+    return lhs, env * _loglog(y)
+
+
+def _hooley14(params, r, s, n, y, L):
+    lhs = hooley14_partial(r, s, n, y, L)
+    ll = _loglog(params.X)
+    env = (
+        ll * arith.r_envelope(n, r, s, y)
+        + ll * float(arith.sigma_minus1(s)) / (r * s) * float(arith.sigma_minus1(n, y))
+        + ll**2 / (r * s * float(y))
+    )
+    return lhs, env
+
+
+def _hooley15(params, u, u_prime, omega, n, which):
+    lhs = hooley15_sums(u, u_prime, omega, n, which, params)
+    return lhs, _loglog(params.X) ** {1: 4, 2: 3, 3: 1}[which]
+
+
+def _murty(params, X):
+    return murty_sum(X), math.log(X)
+
+
+CHECKERS: dict[str, Checker] = {
+    "hooley1": Checker(
+        (("X", "--x"), ("omega", "--omega")), _hooley1, {"omega": 1.0}, scan="X"
+    ),
+    "brun_titchmarsh": Checker(
+        (("X", "--x"), ("q", "--q"), ("a", "--a")), _brun_titchmarsh
+    ),
+    "count_n": Checker((("n", "--n"), ("r", "--r")), _count_n),
+    "f_progression": Checker(
+        (("y", "--y"), ("k", "--q"), ("a", "--a")), _f_progression, needs_params=True
+    ),
+    "estimate_b": Checker((("y", "--y"),), _estimate_b, needs_params=True),
+    "omega_power": Checker(
+        (("y", "--y"), ("alpha", "--alpha")), _omega_power, scan="y"
+    ),
+    "hooley13": Checker(
+        (("y", "--y"), ("alpha", "--alpha"), ("omega", "--omega")),
+        _hooley13, {"omega": 1.0}, scan="y",
+    ),
+    "hooley13q": Checker(
+        (("y", "--y"), ("alpha", "--alpha"), ("q", "--q")), _hooley13q, scan="y"
+    ),
+    "hooley14": Checker(
+        (("r", "--r"), ("s", "--s"), ("n", "--n"), ("y", "--y"), ("L", "--l-max")),
+        _hooley14, needs_params=True,
+    ),
+    "hooley15": Checker(
+        (("u", "--u"), ("u_prime", "--u-prime"), ("omega", "--omega"),
+         ("n", "--n"), ("which", "--which")),
+        _hooley15, {"u_prime": lambda done: done["u"], "omega": 1.0}, needs_params=True,
+    ),
+    "murty": Checker((("X", "--x"),), _murty, scan="X"),
+}
 
 
 def report(lemma_id: str, params: Optional[Params] = None, **inputs) -> LemmaReport:
-    """Run one checker and wrap lhs, constant-1 envelope, and their ratio."""
-    if lemma_id == "hooley1":
-        inputs.setdefault("omega", 1.0)
-        X, omega = inputs["X"], inputs["omega"]
-        lhs = hooley1_lhs(X, omega, inputs.get("cache_dir"))
-        inputs.pop("cache_dir", None)
-        env = X * _loglog(X) ** 5 / math.log(X) ** (1.0 + THETA0)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "brun_titchmarsh":
-        X, q, a = inputs["X"], inputs["q"], inputs["a"]
-        res = brun_titchmarsh_check(X, q, a)
-        return _report(lemma_id, inputs, res.count, res.bound)
-    if lemma_id == "count_n":
-        n, r = inputs["n"], inputs["r"]
-        lhs = count_N(n, r)
-        env = n**2 / (arith.euler_phi(n * r) * math.log(n / r) ** 2)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "f_progression":
-        y, k, a = inputs["y"], inputs["k"], inputs["a"]
-        lhs = f_progression_sum(y, k, a, params)
-        X = params.X
-        env = _loglog(X) ** 2 / math.log(X) * y / arith.euler_phi(k)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "estimate_b":
-        y = inputs["y"]
-        lhs = estimate_B(params, y)
-        X = params.X
-        env = _loglog(X) ** 2 / math.log(X)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "omega_power":
-        y, alpha = inputs["y"], inputs["alpha"]
-        lhs = omega_power_sum(y, alpha)
-        env = y * math.log(2.0 * y) ** (float(alpha) - 1.0)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "hooley13":
-        inputs.setdefault("omega", 1.0)
-        y, alpha, omega = inputs["y"], inputs["alpha"], inputs["omega"]
-        lhs = hooley13_sum(y, alpha, omega)
-        env = math.log(y) ** (gamma_alpha(alpha) - 1.0) * _loglog(y)
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "hooley13q":
-        y, alpha, q = inputs["y"], inputs["alpha"], inputs["q"]
-        lhs = hooley13q_sum(y, alpha, q)
-        env = (
-            float(alpha) ** arith.omega_big(q)
-            / q
-            * math.log(y) ** gamma_alpha(alpha)
-            * _loglog(y)
-        )
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "hooley14":
-        r, s, n, y, L = (inputs[k] for k in ("r", "s", "n", "y", "L"))
-        lhs = hooley14_partial(r, s, n, y, L)
-        X = params.X
-        ll = _loglog(X)
-        env = (
-            ll * arith.r_envelope(n, r, s, y)
-            + ll * float(arith.sigma_minus1(s)) / (r * s) * float(arith.sigma_minus1(n, y))
-            + ll**2 / (r * s * float(y))
-        )
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "hooley15":
-        u, up, omega, n, which = (
-            inputs[k] for k in ("u", "u_prime", "omega", "n", "which")
-        )
-        lhs = hooley15_sums(u, up, omega, n, which, params)
-        env = _loglog(params.X) ** {1: 4, 2: 3, 3: 1}[which]
-        return _report(lemma_id, inputs, lhs, env)
-    if lemma_id == "murty":
-        X = inputs["X"]
-        lhs = murty_sum(X)
-        return _report(lemma_id, inputs, lhs, math.log(X))
-    raise PreconditionError(f"unknown lemma id: {lemma_id}")
+    """Run one checker and wrap lhs, constant-1 envelope, and their ratio.
+
+    An input that is left out or None takes the checker's default.
+    """
+    checker = CHECKERS.get(lemma_id)
+    if checker is None:
+        raise PreconditionError(f"unknown lemma id: {lemma_id}")
+    names = [name for name, _flag in checker.inputs]
+    unknown = sorted(set(inputs) - set(names))
+    if unknown:
+        raise PreconditionError(f"{lemma_id} has no input {', '.join(unknown)}")
+    values = {}
+    for name in names:
+        value = inputs.get(name)
+        if value is None:
+            if name not in checker.defaults:
+                raise PreconditionError(f"{lemma_id} requires input {name}")
+            value = checker.defaults[name]
+            value = value(values) if callable(value) else value
+        values[name] = value
+    lhs, envelope = checker.compute(params, **values)
+    # Sign-indefinite sums keep their sign in lhs; the ratio is a magnitude.
+    return LemmaReport(lemma_id, values, lhs, envelope, abs(float(lhs)) / envelope)

@@ -14,9 +14,6 @@ the smoothness bound Y is stored.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
@@ -32,10 +29,6 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 # Largest limit for which whole-range working arrays (chi divisor sums,
 # totient and Omega tables) may be materialized in one piece.
 BULK_TABLE_LIMIT = 1 << 24
-
-CACHE_MAGIC = b"LNKSIEVE"
-CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<8sIQQ")  # magic, version, lo, hi
 
 
 def _check_segment_length(segment_length: int) -> int:
@@ -364,61 +357,3 @@ def omega_table(limit: int) -> np.ndarray:
                 pk *= int(p)
     om.flags.writeable = False
     return om
-
-
-def write_factor_table(table: FactorTable, path) -> None:
-    """Serialize an SPF table: magic, version, range, little-endian u32 entries."""
-    header = _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.lo, table.hi)
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(table.spf.astype("<u4").tobytes())
-    os.replace(tmp, path)
-
-
-def read_factor_table(
-    path, lo: Optional[int] = None, hi: Optional[int] = None
-) -> Optional[FactorTable]:
-    """Load a cached SPF table, or None when the file is absent or invalid.
-
-    Validation covers the magic bytes, the format version, range sanity,
-    the payload length, and (when given) the expected [lo, hi).
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    if len(data) < _CACHE_HEADER.size:
-        return None
-    magic, version, flo, fhi = _CACHE_HEADER.unpack_from(data)
-    if magic != CACHE_MAGIC or version != CACHE_VERSION or not 1 <= flo < fhi:
-        return None
-    if lo is not None and (flo, fhi) != (lo, hi):
-        return None
-    if len(data) != _CACHE_HEADER.size + 4 * (fhi - flo):
-        return None
-    spf = np.frombuffer(data, dtype="<u4", offset=_CACHE_HEADER.size)
-    return FactorTable(int(flo), int(fhi), spf)
-
-
-def factor_table_cached(
-    lo: int,
-    hi: int,
-    cache_dir: Optional[str] = None,
-    segment_length: Optional[int] = None,
-) -> FactorTable:
-    """factor_table with an optional binary cache; results are identical."""
-    if cache_dir is None:
-        return factor_table(lo, hi, segment_length)
-    path = os.path.join(cache_dir, f"spf-{lo}-{hi}.bin")
-    cached = read_factor_table(path, lo, hi)
-    if cached is not None:
-        return cached
-    table = factor_table(lo, hi, segment_length)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        write_factor_table(table, path)
-    except OSError as exc:
-        print(f"warning: could not write sieve cache {path}: {exc}", file=sys.stderr)
-    return table

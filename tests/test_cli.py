@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from linnikbv import cli, linnik
+from linnikbv import cli, lemmas, linnik
 from linnikbv.cli import RunConfig, emit_report
 from linnikbv.sieve import Params
 
@@ -172,6 +173,41 @@ def test_decompose_csv_shows_override(capsys):
     assert cells[:4] == ["10000", "1", "1", "0"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_decompose_ratio_undefined_at_zero_total(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys,
+        ["decompose", "--x", "100", "--A", "0", "--override-exponent", "0", "--format", fmt],
+    )
+    assert code == 0
+    if fmt == "json":
+        row = json.loads(out)["rows"][0]
+        assert row["total"] == 0 and row["ratio"] is None
+    else:
+        header, cells = (line.split(",") for line in out.splitlines())
+        assert cells[header.index("total")] == "0"
+        assert cells[header.index("ratio")] == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constant", "--tolerance", "0"],
+        ["lemma", "hooley1", "--x", "1000", "--omega", "0"],
+        ["lemma", "hooley13", "--y", "1000", "--alpha", "0.5", "--omega", "0"],
+        ["scan", "hooley1", "--x", "1000", "--omega", "0"],
+        ["lemma", "hooley15", "--x", "1000", "--u", "5", "--n", "6", "--which", "3",
+         "--u-prime", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_zero_value_is_not_replaced_by_default(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_rsum_value(capsys):
     code, out, _ = run_cli(capsys, ["rsum", "--x", "100000"])
     assert code == 0
@@ -185,39 +221,6 @@ def test_constant_command(capsys):
     row = doc["rows"][0]
     assert row["prime_bound"] >= 1000
     assert row["value"] == linnik.linnik_constant(1e-3).value
-
-
-def test_cache_dir_flag_and_env(capsys, tmp_path, monkeypatch):
-    code, plain, _ = run_cli(capsys, ["lemma", "hooley1", "--x", "1000"])
-    assert code == 0
-    code, cached, _ = run_cli(
-        capsys, ["lemma", "hooley1", "--x", "1000", "--cache-dir", str(tmp_path)]
-    )
-    assert code == 0
-    assert cached == plain
-    assert (tmp_path / "spf-1-1001.bin").exists()
-    code, reread, _ = run_cli(
-        capsys, ["lemma", "hooley1", "--x", "1000", "--cache-dir", str(tmp_path)]
-    )
-    assert reread == plain
-
-    env_dir = tmp_path / "envcache"
-    monkeypatch.setenv("LINNIK_CACHE_DIR", str(env_dir))
-    code, enved, _ = run_cli(capsys, ["lemma", "hooley1", "--x", "1000"])
-    assert code == 0
-    assert enved == plain
-    assert (env_dir / "spf-1-1001.bin").exists()
-
-
-def test_corrupt_cache_is_ignored(capsys, tmp_path):
-    code, plain, _ = run_cli(capsys, ["lemma", "hooley1", "--x", "1000"])
-    bad = tmp_path / "spf-1-1001.bin"
-    bad.write_bytes(b"garbage that is not a sieve cache")
-    code, out, _ = run_cli(
-        capsys, ["lemma", "hooley1", "--x", "1000", "--cache-dir", str(tmp_path)]
-    )
-    assert code == 0
-    assert out == plain
 
 
 def test_reports_identical_across_runs(capsys):
@@ -279,3 +282,44 @@ def test_every_lemma_id_runs(capsys, lemma_id):
             doc = json.loads(out)
             assert doc["command"] == "lemma"
             assert len(doc["rows"]) == 1
+
+
+SCAN_SMOKE_ARGS = {
+    "hooley1": ["--x", "1000"],
+    "omega_power": ["--y", "1000", "--alpha", "1.5"],
+    "hooley13": ["--y", "1000", "--alpha", "0.5"],
+    "hooley13q": ["--y", "1000", "--alpha", "1.25", "--q", "4"],
+    "murty": ["--x", "1000"],
+}
+
+
+@pytest.mark.parametrize("lemma_id", [i for i, c in lemmas.CHECKERS.items() if c.scan])
+def test_every_scan_id_runs(capsys, lemma_id):
+    args = SCAN_SMOKE_ARGS[lemma_id]
+    var = args[0][2:]
+    code, out, err = run_cli(capsys, ["scan", lemma_id, *args, "--format", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["params"] == {"lemma": lemma_id, "points": 2}
+    assert [row[var] for row in doc["rows"]] == [100, 1000]
+    # The last scan point is the lemma run at the scan's maximum.
+    code, out, err = run_cli(capsys, ["lemma", lemma_id, *args, "--format", "json"])
+    assert code == 0, err
+    single = json.loads(out)["rows"][0]
+    last = doc["rows"][-1]
+    assert (last["lhs"], last["envelope"], last["ratio"]) == (
+        single["lhs"], single["envelope"], single["ratio"]
+    )
+
+
+def _lemma_id_choices(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == "lemma_id")
+    return list(action.choices)
+
+
+def test_lemma_and_scan_choices_come_from_the_checker_table():
+    assert _lemma_id_choices("lemma") == [*lemmas.CHECKERS, "epq"]
+    assert _lemma_id_choices("scan") == [i for i, c in lemmas.CHECKERS.items() if c.scan]
+    assert sorted(LEMMA_SMOKE_ARGS) == sorted(_lemma_id_choices("lemma"))

@@ -247,3 +247,23 @@ def test_report_ratios_finite_and_reproducible():
         assert math.isfinite(rep.ratio)
         again = lemmas.report(rep.lemma_id, params=params, **rep.inputs)
         assert again.lhs == rep.lhs and again.ratio == rep.ratio
+
+
+def test_report_fills_defaults_from_the_checker_table():
+    params = Params(10**4, 0.0)
+    rep = lemmas.report("hooley15", params=params, u=10, omega=None, n=6, which=3)
+    assert rep.inputs == {"u": 10, "u_prime": 10, "omega": 1.0, "n": 6, "which": 3}
+    assert list(lemmas.report("hooley1", X=100).inputs) == ["X", "omega"]
+
+
+@pytest.mark.parametrize(
+    "lemma_id, params, inputs, message",
+    [
+        ("not_a_lemma", None, {}, "unknown lemma id"),
+        ("omega_power", None, {"y": 100}, "requires input alpha"),
+        ("murty", None, {"X": 100, "omega": 1.0}, "no input omega"),
+    ],
+)
+def test_report_rejects_bad_calls(lemma_id, params, inputs, message):
+    with pytest.raises(PreconditionError, match=message):
+        lemmas.report(lemma_id, params=params, **inputs)

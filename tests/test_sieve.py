@@ -230,51 +230,6 @@ def test_totient_and_omega_tables():
         assert int(phi[n]) == oracles.phi(n)
 
 
-def test_cache_roundtrip(tmp_path):
-    table = sieve.factor_table(10, 500)
-    path = tmp_path / "seg.bin"
-    sieve.write_factor_table(table, path)
-    loaded = sieve.read_factor_table(path)
-    assert loaded.lo == 10 and loaded.hi == 500
-    assert np.array_equal(loaded.spf, table.spf)
-    assert sieve.read_factor_table(path, 10, 500) is not None
-    assert sieve.read_factor_table(path, 11, 500) is None  # range mismatch
-
-
-def test_cache_rejects_corruption(tmp_path):
-    table = sieve.factor_table(1, 100)
-    path = tmp_path / "seg.bin"
-    sieve.write_factor_table(table, path)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"XXXXXXXX" + bytes(raw[8:]))
-    assert sieve.read_factor_table(bad_magic) is None
-
-    bad_version = tmp_path / "version.bin"
-    bad_version.write_bytes(bytes(raw[:8]) + b"\x63\x00\x00\x00" + bytes(raw[12:]))
-    assert sieve.read_factor_table(bad_version) is None
-
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(bytes(raw[:-5]))
-    assert sieve.read_factor_table(truncated) is None
-
-    assert sieve.read_factor_table(tmp_path / "absent.bin") is None
-
-
-def test_cache_header_layout(tmp_path):
-    table = sieve.factor_table(3, 7)
-    path = tmp_path / "seg.bin"
-    sieve.write_factor_table(table, path)
-    raw = path.read_bytes()
-    assert raw[:8] == b"LNKSIEVE"
-    assert int.from_bytes(raw[8:12], "little") == 1
-    assert int.from_bytes(raw[12:20], "little") == 3
-    assert int.from_bytes(raw[20:28], "little") == 7
-    assert len(raw) == 28 + 4 * 4
-    assert list(raw[28:]) and np.frombuffer(raw, "<u4", offset=28).tolist() == [3, 2, 5, 2]
-
-
 def test_concurrent_table_construction_is_consistent():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -284,12 +239,3 @@ def test_concurrent_table_construction_is_consistent():
     whole = sieve.factor_table(1, bounds[-1][1])
     joined = np.concatenate([t.spf for t in tables])
     assert np.array_equal(joined, whole.spf)
-
-
-def test_factor_table_cached(tmp_path):
-    fresh = sieve.factor_table_cached(2, 800, cache_dir=str(tmp_path))
-    assert (tmp_path / "spf-2-800.bin").exists()
-    again = sieve.factor_table_cached(2, 800, cache_dir=str(tmp_path))
-    assert np.array_equal(fresh.spf, again.spf)
-    plain = sieve.factor_table(2, 800)
-    assert np.array_equal(again.spf, plain.spf)
