@@ -77,6 +77,17 @@ def _sum_fractions(terms: list[Fraction]) -> Union[Fraction, float]:
     return math.fsum(float(t) for t in terms)
 
 
+def _log_powers(x: int, omega: float) -> tuple[float, float]:
+    """(log x)^-omega and (log x)^omega, for a positive finite omega."""
+    if not 0 < omega < math.inf:
+        raise PreconditionError(f"omega must be positive and finite, got {omega}")
+    log_x = math.log(x)
+    try:
+        return log_x**-omega, log_x**omega
+    except OverflowError:
+        raise PreconditionError(f"(log {x})^omega overflows a float at omega = {omega}") from None
+
+
 def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """Sum over p <= X of |sum of chi over divisors of p-1 in the middle window|.
 
@@ -85,11 +96,9 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
-    if not omega > 0:
-        raise PreconditionError(f"omega must be positive, got {omega}")
-    log_x = math.log(X)
-    lo = math.sqrt(X) * log_x**-omega
-    hi = math.sqrt(X) * log_x**omega
+    shrink, stretch = _log_powers(X, omega)
+    lo = math.sqrt(X) * shrink
+    hi = math.sqrt(X) * stretch
     table = factor_table(1, X + 1) if X + 1 <= DEFAULT_SEGMENT_LENGTH else None
     total = 0
     for p in prime_array(X):
@@ -166,9 +175,9 @@ def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
     """
     if y < 1:
         raise PreconditionError(f"omega_power_sum requires y >= 1, got {y}")
-    alpha_frac = Fraction(alpha)
-    if not Fraction(1, 2) <= alpha_frac <= Fraction(7, 4):
+    if not Fraction(1, 2) <= alpha <= Fraction(7, 4):
         raise PreconditionError(f"alpha must lie in [1/2, 7/4], got {alpha}")
+    alpha_frac = Fraction(alpha)
     om = _omega_values(y)
     if alpha_frac.denominator <= EXACT_ALPHA_DENOMINATOR and y <= EXACT_SUM_TERM_LIMIT:
         return sum((alpha_frac ** om(n) for n in range(1, y + 1)), Fraction(0))
@@ -185,12 +194,10 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
         raise PreconditionError(f"hooley13_sum requires y >= 16 (> e^e), got {y}")
     if not 0.5 <= alpha < 1:
         raise PreconditionError(f"alpha must lie in [1/2, 1), got {alpha}")
-    if not omega > 0:
-        raise PreconditionError(f"omega must be positive, got {omega}")
-    log_y = math.log(y)
-    lo = math.sqrt(y) * log_y**-omega
-    hi = math.sqrt(y) * log_y**omega
-    threshold = alpha * math.log(log_y)
+    shrink, stretch = _log_powers(y, omega)
+    lo = math.sqrt(y) * shrink
+    hi = math.sqrt(y) * stretch
+    threshold = alpha * _loglog(y)
     first = int(lo) + 1  # least integer strictly above lo (lo > 0)
     om = _omega_values(int(hi)) if hi >= first else arith.omega_big
     terms = [
@@ -254,17 +261,15 @@ def hooley15_sums(
     """
     if not 1 < u < params.X:
         raise PreconditionError(f"hooley15_sums requires 1 < u < X, got u={u}")
-    if u_prime < u:
-        raise PreconditionError("hooley15_sums requires u' >= u")
-    if not omega > 0:
-        raise PreconditionError(f"omega must be positive, got {omega}")
+    if not u <= u_prime < math.inf:
+        raise PreconditionError(f"hooley15_sums requires a finite u' >= u, got u' = {u_prime}")
     if not 1 <= n <= params.X:
         raise PreconditionError(f"n must lie in [1, X], got {n}")
     if which not in (1, 2, 3):
         raise PreconditionError(f"which must be 1, 2, or 3, got {which}")
     u_exact = Fraction(u)
     up_exact = Fraction(u_prime)
-    stretch = math.log(params.X) ** omega
+    stretch = _log_powers(params.X, omega)[1]
     float_terms: list[float] = []
     frac_terms: list[Fraction] = []
     h = 1

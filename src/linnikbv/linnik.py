@@ -105,8 +105,8 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
     1/B, no larger than the requested tolerance; that bound dominates the
     prime tail of the log of the product.
     """
-    if not tolerance > 0:
-        raise PreconditionError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise PreconditionError(f"tolerance must be positive and finite, got {tolerance}")
     bound = max(3, math.ceil(1.0 / tolerance))
     acc = 1.0
     for seg in iter_prime_segments(bound):

@@ -6,9 +6,13 @@ r(n), the rough-number indicator h, and the enveloping-sieve value f.
 Bulk tables are numpy arrays; per-n evaluators return plain Python ints.
 
 Memory policy: SPF tables are built one segment at a time and a single
-table never exceeds the segment budget (default 2**22 entries).  The
-squarefree-prime product P is never formed; only its prime support below
-the smoothness bound Y is stored.
+table never exceeds the segment budget (default 2**22 entries).  The bulk
+chi-divisor-sum, totient and Omega tables come from one prime-power kernel:
+only the returned table spans the whole range 0..limit (limit at most
+BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
+kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
+allocated at import.  The squarefree-prime product P is never formed; only
+its prime support below the smoothness bound Y is stored.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 # Largest limit for which whole-range working arrays (chi divisor sums,
 # totient and Omega tables) may be materialized in one piece.
 BULK_TABLE_LIMIT = 1 << 24
+
+# Entries per segment of the prime-power kernel behind those tables; its
+# 32-bit working arrays are at most this long.
+TABLE_SEGMENT_LENGTH = 1 << 16
 
 
 def _check_segment_length(segment_length: int) -> int:
@@ -240,15 +248,28 @@ class Params:
             raise PreconditionError(
                 f"X must be at least 16 so that loglog X is positive, got {self.X}"
             )
-        if self.A < 0:
-            raise PreconditionError(f"A must be nonnegative, got {self.A}")
+        if not (math.isfinite(self.A) and self.A >= 0):
+            raise PreconditionError(f"A must be finite and nonnegative, got {self.A}")
         if self.a < 1:
             raise PreconditionError(f"a must be a positive integer, got {self.a}")
+        exponent = self.exponent
+        if not math.isfinite(exponent):
+            raise PreconditionError(f"the exponent of log X in D must be finite, got {exponent}")
         log_x = math.log(self.X)
-        exponent = self.A + 14.0 if self.override_exponent is None else float(self.override_exponent)
-        object.__setattr__(self, "Q", log_x**self.A)
-        object.__setattr__(self, "D", math.sqrt(self.X) / log_x**exponent)
-        object.__setattr__(self, "Y", self.X ** (1.0 / math.log(log_x) ** 2))
+        try:
+            Q = log_x**self.A
+            D = math.sqrt(self.X) / log_x**exponent
+            Y = self.X ** (1.0 / math.log(log_x) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            Q = D = Y = math.inf
+        if not all(map(math.isfinite, (Q, D, Y))):
+            raise PreconditionError(
+                f"Q, D or Y overflows a float at X = {self.X}, A = {self.A}, "
+                f"exponent {exponent}"
+            )
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "primes_y", tuple(primes_up_to(int(self.Y))))
         object.__setattr__(self, "_prime_set_y", frozenset(self.primes_y))
 
@@ -291,19 +312,67 @@ def _check_bulk_limit(limit: int) -> None:
         )
 
 
+def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.ndarray:
+    """Table over 0..limit folded from the prime powers of each n.
+
+    Walks [1, limit] in segments of TABLE_SEGMENT_LENGTH entries.  In each
+    segment every prime p <= sqrt(limit) is divided out of the cofactor
+    array rem through strided views, one stride p^k per power, while e
+    counts the exponent of p at the multiples of p; local(view, p, e) then
+    folds p^e into the table entries at those multiples.  After the rounds
+    rem is 1 or the one prime factor above sqrt(limit), which
+    leftover(view, rem) folds in.  Entries start at identity; index 0 is 0.
+    """
+    out = np.full(limit + 1, identity, dtype=dtype)
+    out[0] = 0
+    base = [int(p) for p in _simple_prime_array(isqrt(limit))]
+    ones = np.ones(TABLE_SEGMENT_LENGTH, dtype=np.int32)
+    for lo in range(1, limit + 1, TABLE_SEGMENT_LENGTH):
+        hi = min(lo + TABLE_SEGMENT_LENGTH, limit + 1)
+        seg = out[lo:hi]
+        rem = np.arange(lo, hi, dtype=np.int32)
+        for p in base:
+            start = -lo % p
+            view = seg[start::p]
+            e = ones[: view.size].copy()
+            rem[start::p] //= p
+            pk = p * p
+            while pk < hi:
+                first = -lo % pk
+                if first < hi - lo:
+                    e[(first - start) // p :: pk // p] += 1
+                    rem[first::pk] //= p
+                pk *= p
+            local(view, p, e)
+        leftover(seg, rem)
+    return out
+
+
+def _chi_local(view, p, e):
+    # sum of chi(p^k) over k <= e
+    if p % 4 == 1:
+        view *= e + 1
+    elif p % 4 == 3:
+        view *= 1 - (e & 1)
+
+
+def _chi_leftover(view, rem):
+    # 1 + chi(q) for a leftover prime q: 0 when q = 3 (mod 4), 2 when q = 1.
+    r = rem & 3
+    view *= r != 3
+    np.multiply(view, 2, out=view, where=(r == 1) & (rem > 1))
+
+
 @lru_cache(maxsize=4)
 def chi_divisor_sums(limit: int) -> np.ndarray:
     """Array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
 
-    Even divisors contribute nothing, so only odd d are sieved.  By the
+    b is multiplicative: b(2^e) = 1, b(p^e) = e + 1 for p = 1 (mod 4), and
+    for p = 3 (mod 4) b(p^e) is 1 when e is even, else 0.  By the
     two-squares identity, r(n) = 4 * b[n].
     """
     _check_bulk_limit(limit)
-    b = np.zeros(limit + 1, dtype=np.int32)
-    for d in range(1, limit + 1, 4):
-        b[d::d] += 1
-    for d in range(3, limit + 1, 4):
-        b[d::d] -= 1
+    b = _prime_power_table(limit, np.int32, 1, _chi_local, _chi_leftover)
     b.flags.writeable = False
     return b
 
@@ -332,28 +401,35 @@ def chi_range_sums(limit: int, D: float) -> tuple[np.ndarray, np.ndarray, np.nda
     return low, mid, high
 
 
+def _phi_local(view, p, e):
+    view *= (p - 1) * np.power(p, e - 1)
+
+
+def _phi_leftover(view, rem):
+    view *= np.where(rem > 1, rem - 1, 1)
+
+
 @lru_cache(maxsize=4)
 def totient_table(limit: int) -> np.ndarray:
     """Euler phi for 0..limit as an int64 array (phi[0] = 0)."""
     _check_bulk_limit(limit)
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:
-            phi[p::p] -= phi[p::p] // p
+    phi = _prime_power_table(limit, np.int64, 1, _phi_local, _phi_leftover)
     phi.flags.writeable = False
     return phi
+
+
+def _omega_local(view, p, e):
+    np.add(view, e, out=view, casting="unsafe")
+
+
+def _omega_leftover(view, rem):
+    view += rem > 1
 
 
 @lru_cache(maxsize=4)
 def omega_table(limit: int) -> np.ndarray:
     """Omega (prime factors with multiplicity) for 0..limit as uint8."""
     _check_bulk_limit(limit)
-    om = np.zeros(limit + 1, dtype=np.uint8)
-    for seg in iter_prime_segments(limit):
-        for p in seg:
-            pk = int(p)
-            while pk <= limit:
-                om[pk::pk] += 1
-                pk *= int(p)
+    om = _prime_power_table(limit, np.uint8, 0, _omega_local, _omega_leftover)
     om.flags.writeable = False
     return om

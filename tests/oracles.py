@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
 
 def chi(n):
     if n % 2 == 0:
@@ -243,3 +245,38 @@ def epq_scan(p, q, a, X, D):
                     signed += chi(d)
         d += 1
     return count, signed
+
+
+# Whole-range tables by one numpy slice update per divisor, per n or per
+# prime power, for checking the library's segmented prime-power kernel.
+
+
+def chi_divisor_sums(limit):
+    """b[n] = sum of chi(d) over d | n for 0 <= n <= limit, as int32."""
+    b = np.zeros(limit + 1, dtype=np.int32)
+    for d in range(1, limit + 1, 4):
+        b[d::d] += 1
+    for d in range(3, limit + 1, 4):
+        b[d::d] -= 1
+    return b
+
+
+def totient_table(limit):
+    """Euler phi for 0..limit as int64 (phi[0] = 0)."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def omega_table(limit):
+    """Omega for 0..limit as uint8; a p with om[p] == 0 has no smaller prime factor."""
+    om = np.zeros(limit + 1, dtype=np.uint8)
+    for p in range(2, limit + 1):
+        if om[p] == 0:
+            pk = p
+            while pk <= limit:
+                om[pk::pk] += 1
+                pk *= p
+    return om

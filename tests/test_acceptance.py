@@ -30,6 +30,7 @@ def test_two_squares_triple_agreement():
         a = sieve.r_two_squares(n, table)
         b = sieve.r_via_identity(n)
         assert a == b == lattice[n], f"mismatch at n={n}: {a}, {b}, {lattice[n]}"
+    assert (4 * sieve.chi_divisor_sums(N)[1:].astype(int)).tolist() == lattice[1:]
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"triple agreement took {elapsed:.1f}s"
     _announce(f"two-squares triple agreement to 1e5 ({elapsed:.1f}s)")

@@ -208,6 +208,34 @@ def test_zero_value_is_not_replaced_by_default(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "bvsum --x 10000 --A nan",
+        "bvsum --x 10000 --A inf",
+        "bvsum --x 10000 --A 1e308",
+        "decompose --x 10000 --A 1 --override-exponent nan",
+        "decompose --x 10000 --A 1 --override-exponent 1e308",
+        "decompose --x 10000 --A 1 --override-exponent=-1e308",
+        "lemma hooley1 --x 1000 --omega 1e308",
+        "lemma hooley1 --x 1000 --omega inf",
+        "scan hooley1 --x 1000 --omega 1e308",
+        "lemma hooley13 --y 1000 --alpha 0.5 --omega 1e308",
+        "lemma omega_power --y 100 --alpha nan",
+        "lemma omega_power --y 100 --alpha inf",
+        "lemma hooley15 --x 1000 --u 20 --n 12 --which 2 --u-prime nan",
+        "lemma hooley15 --x 1000 --u 20 --n 12 --which 2 --omega inf",
+        "lemma hooley15 --x 1000 --u 20 --n 12 --which 1 --omega 1e308",
+        "constant --tolerance inf",
+    ],
+)
+def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
+    code, out, err = run_cli(capsys, line.split())
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_rsum_value(capsys):
     code, out, _ = run_cli(capsys, ["rsum", "--x", "100000"])
     assert code == 0

@@ -230,6 +230,20 @@ def test_totient_and_omega_tables():
         assert int(phi[n]) == oracles.phi(n)
 
 
+@pytest.mark.parametrize(
+    "limit",
+    [sieve.TABLE_SEGMENT_LENGTH - 1, sieve.TABLE_SEGMENT_LENGTH,
+     sieve.TABLE_SEGMENT_LENGTH + 1, 3 * sieve.TABLE_SEGMENT_LENGTH + 17],
+)
+@pytest.mark.parametrize("name", ["chi_divisor_sums", "totient_table", "omega_table"])
+def test_prime_power_tables_match_loop_oracles(name, limit):
+    table = getattr(sieve, name)(limit)
+    expected = getattr(oracles, name)(limit)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
+    assert not table.flags.writeable
+
+
 def test_concurrent_table_construction_is_consistent():
     from concurrent.futures import ThreadPoolExecutor
 
