@@ -197,6 +197,11 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
     shrink, stretch = _log_powers(y, omega)
     lo = math.sqrt(y) * shrink
     hi = math.sqrt(y) * stretch
+    if hi > BULK_TABLE_LIMIT:
+        raise PreconditionError(
+            f"the window end sqrt(y)(log y)^omega = {hi:.6g} exceeds the bulk cap "
+            f"{BULK_TABLE_LIMIT}; lower y or omega"
+        )
     threshold = alpha * _loglog(y)
     first = int(lo) + 1  # least integer strictly above lo (lo > 0)
     om = _omega_values(int(hi)) if hi >= first else arith.omega_big

@@ -30,6 +30,9 @@ from .sieve import (
 # thread count so that partial results merge identically.
 REDUCTION_CHUNK = 1 << 16
 
+# Most tasks handed to the thread pool at once; fixed for the same reason.
+POOL_TASKS = 64
+
 
 @dataclass(frozen=True)
 class DiscrepancyRow:
@@ -73,10 +76,14 @@ def theta0() -> float:
 
 
 def _map_ordered(fn, items, threads):
+    """[fn(item) for item in items], in at most POOL_TASKS contiguous blocks."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    size = -(-len(items) // POOL_TASKS)
+    blocks = [items[i : i + size] for i in range(0, len(items), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        done = pool.map(lambda block: [fn(item) for item in block], blocks)
+        return [out for block in done for out in block]
 
 
 def _chunks(length):
@@ -127,39 +134,56 @@ def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
         raise PreconditionError("discrepancy requires q >= 1 and a >= 1")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    primes = prime_array(X)
-    vals = chi_divisor_sums(X)[primes - 1]
-    weighted = 4 * int(vals[primes % q == a % q].sum())
-    main = Fraction(4 * int(vals.sum()), arith.euler_phi(q))
+    w = _prime_weights(X)
+    weighted = 4 * int(w[a % q :: q].sum())
+    main = Fraction(4 * int(w.sum()), arith.euler_phi(q))
     return DiscrepancyRow(q, a, weighted, main, weighted - main)
 
 
+def _prime_weights(X: int) -> np.ndarray:
+    """uint8 array w over 0..X with w[p] = r(p - 1)/4 at primes p, 0 elsewhere.
+
+    The residue-class sum over p = a (q), p <= X, is then the strided sum
+    w[a % q :: q].sum().  r/4 is at most 48 below the bulk cap, so it fits
+    a byte.  Filled chunk by chunk so that no index or value temporary
+    spans all the primes.
+    """
+    primes = prime_array(X)
+    b = chi_divisor_sums(X)
+    w = np.zeros(X + 1, dtype=np.uint8)
+    for lo, hi in _chunks(len(primes)):
+        p = primes[lo:hi]
+        w[p] = b[p - 1]
+    return w
+
+
 def _moduli(params: Params) -> list[int]:
-    qs = []
-    q = 1
-    while q <= params.Q:
-        if math.gcd(q, params.a) == 1:
-            qs.append(q)
-        q += 1
-    return qs
+    """The q <= Q with (q, a) = 1; Q above X is a precondition error."""
+    if params.Q > params.X:
+        raise PreconditionError(
+            f"Q = (log X)^A = {params.Q:.6g} exceeds X = {params.X}; lower A"
+        )
+    return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
 
 
 def bv_sum(params: Params, threads: int = 1) -> Fraction:
     """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|.
 
-    Single pass: the per-prime weights are materialized once and every
-    modulus reuses them through its own accumulator.
+    The prime weights are laid out once by n (see _prime_weights); each
+    modulus reads its residue class as one strided sum, so the whole
+    average costs about X log Q reads instead of a mask over every prime
+    per modulus.
     """
-    primes = prime_array(params.X)
-    vals = chi_divisor_sums(params.X)[primes - 1]
-    total = 4 * int(vals.sum())
+    moduli = _moduli(params)
+    w = _prime_weights(params.X)
+    total = 4 * int(w.sum())
     a = params.a
 
     def term(q):
-        weighted = 4 * int(vals[primes % q == a % q].sum())
+        weighted = 4 * int(w[a % q :: q].sum())
         return abs(Fraction(weighted) - Fraction(total, arith.euler_phi(q)))
 
-    return sum(_map_ordered(term, _moduli(params), threads), Fraction(0))
+    return sum(_map_ordered(term, moduli, threads), Fraction(0))
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -202,6 +226,7 @@ def decompose(params: Params, threads: int = 1) -> DecompositionResult:
             "override the exponent to explore this X"
         )
     X, a = params.X, params.a
+    moduli = _moduli(params)
     low, mid, high = chi_range_sums(X, params.D)
     primes = prime_array(X)
     vl = low[primes - 1].astype(np.int64)
@@ -223,6 +248,6 @@ def decompose(params: Params, threads: int = 1) -> DecompositionResult:
         lhs_q = abs(Fraction(4 * int(vr[mask].sum())) - Fraction(t_r, phi))
         return s1, s2, s3, s4, lhs_q
 
-    parts = _map_ordered(terms, _moduli(params), threads)
+    parts = _map_ordered(terms, moduli, threads)
     S = [sum(col, Fraction(0)) for col in zip(*parts)] if parts else [Fraction(0)] * 5
     return DecompositionResult(S[0], S[1], S[2], S[3], S[4], params)

@@ -277,15 +277,18 @@ def test_murty_ratio_stability():
 
 
 def test_reports_deterministic_across_threads(capsys):
+    # Q = (log 10^5)^3 gives about 1526 moduli: several per pool block, and
+    # several blocks per thread.
+    assert len(linnik._moduli(Params(10**5, 3.0, 1))) > 3 * linnik.POOL_TASKS
     bv_outputs = set()
     dec_outputs = set()
     for threads in ("1", "2", "8"):
         assert cli.main(
-            ["bvsum", "--x", "100000", "--A", "2", "--a", "1", "--threads", threads]
+            ["bvsum", "--x", "100000", "--A", "3", "--a", "1", "--threads", threads]
         ) == 0
         bv_outputs.add(capsys.readouterr().out)
         assert cli.main(
-            ["decompose", "--x", "100000", "--A", "1", "--override-exponent", "2",
+            ["decompose", "--x", "100000", "--A", "3", "--override-exponent", "2",
              "--threads", threads, "--format", "json"]
         ) == 0
         dec_outputs.add(capsys.readouterr().out)

@@ -236,6 +236,25 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        # Q = (log 10^4)^5 is about 6.6e4 and (log 10^4)^10 about 4.4e9.
+        ("bvsum --x 10000 --A 5", "exceeds X"),
+        ("bvsum --x 10000 --A 10", "exceeds X"),
+        ("decompose --x 10000 --A 5 --override-exponent 0", "exceeds X"),
+        ("decompose --x 10000 --A 10 --override-exponent 0", "exceeds X"),
+        # (log 1000)^300 is about 1e251: finite, but far past any table.
+        ("lemma hooley13 --y 1000 --alpha 0.5 --omega 300", "bulk cap"),
+    ],
+)
+def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):
+    code, out, err = run_cli(capsys, line.split())
+    assert code == 3
+    assert out == ""
+    assert reason in err
+
+
 def test_rsum_value(capsys):
     code, out, _ = run_cli(capsys, ["rsum", "--x", "100000"])
     assert code == 0

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
-from linnikbv import linnik
+from linnikbv import linnik, sieve
 from linnikbv.errors import PreconditionError
 from linnikbv.sieve import Params
 
@@ -72,17 +73,37 @@ def test_discrepancy_trivial_modulus():
     assert row.weighted_count == row.main_term
 
 
+def _discrepancy_oracle(X, q, a):
+    """Per-prime weighted count over p = a (q), p <= X, and its main term."""
+    weights = {p: oracles.r_lattice(p - 1) for p in oracles.primes(X)}
+    weighted = sum(w for p, w in weights.items() if p % q == a % q)
+    return weighted, Fraction(sum(weights.values()), oracles.phi(q))
+
+
 def test_discrepancy_oracle_rows():
     for X, q, a in ((50, 4, 1), (100, 3, 2)):
         row = linnik.discrepancy(X, q, a)
-        ps = oracles.primes(X)
-        weights = {p: oracles.r_lattice(p - 1) for p in ps}
-        weighted = sum(w for p, w in weights.items() if p % q == a % q)
-        main = Fraction(sum(weights.values()), oracles.phi(q))
+        weighted, main = _discrepancy_oracle(X, q, a)
         assert row.weighted_count == weighted
         assert row.main_term == main
         assert row.discrepancy == weighted - main
         assert abs(row.discrepancy) <= row.weighted_count + row.main_term
+
+
+# 10037 is prime and r(10036) = 16, so the last index of the strided sum
+# carries weight; 10061 is a prime residue above X.
+EDGE_X = 10037
+
+
+@pytest.mark.parametrize(
+    "q, a",
+    [(1, 1), (1, 10061), (4, 1), (13, 1), (52, 1), (24, 10061), (7, 10061), (10039, 10037)],
+)
+def test_discrepancy_strided_edges(q, a):
+    assert oracles.r_lattice(EDGE_X - 1) == 16
+    row = linnik.discrepancy(EDGE_X, q, a)
+    weighted, main = _discrepancy_oracle(EDGE_X, q, a)
+    assert (row.weighted_count, row.main_term) == (weighted, main)
 
 
 def test_discrepancy_rejects_common_factor():
@@ -152,10 +173,40 @@ def test_bv_sum_oracle_value():
     assert value == oracles.bv_sum_direct(10**4, 1.0, 1)
 
 
+@pytest.mark.parametrize("a", [1, 10061])
+def test_bv_sum_strided_edges(a):
+    # X prime with r(X - 1) > 0, and a residue above X.
+    params = Params(EDGE_X, 2.0, a)
+    assert linnik.bv_sum(params) == oracles.bv_sum_direct(EDGE_X, 2.0, a)
+
+
 def test_bv_sum_thread_counts_agree():
-    params = Params(10**4, 2.0, 3)
+    params = Params(10**5, 3.0, 3)
+    # Several moduli per pool block, and several blocks per thread.
+    assert len(linnik._moduli(params)) > 3 * linnik.POOL_TASKS
     values = {linnik.bv_sum(params, threads=t) for t in (1, 2, 8)}
     assert len(values) == 1
+
+
+def test_chi_divisor_sum_fits_a_byte_below_bulk_cap():
+    # b = r/4 is largest at n built from primes = 1 (mod 4) alone, with
+    # exponents not increasing along 5, 13, 17, 29, ...; the maximum below
+    # the cap must fit the uint8 weights of bv_sum.
+    cap = sieve.BULK_TABLE_LIMIT
+    primes = [p for p in oracles.primes(100) if p % 4 == 1]
+
+    def best(n, i, e_max):
+        top = (1, n)
+        e, m = 0, n
+        while e < e_max and i < len(primes) and m * primes[i] <= cap:
+            e, m = e + 1, m * primes[i]
+            b, arg = best(m, i + 1, e)
+            top = max(top, ((e + 1) * b, arg))
+        return top
+
+    b, n = best(1, 0, 64)
+    assert b == 48 <= np.iinfo(np.uint8).max
+    assert sieve.r_via_identity(n) == 4 * b
 
 
 def test_decompose_degenerate_D():
