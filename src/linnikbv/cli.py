@@ -40,7 +40,6 @@ class RunConfig:
     q: Optional[int] = None
     y: Optional[int] = None
     output_format: str = "csv"
-    threads: int = 1
     extra: dict = field(default_factory=dict)
 
 
@@ -176,7 +175,7 @@ def render(config: RunConfig) -> str:
         return emit_report(rows, config.output_format, cmd, {"x": config.x}, ["p"])
     if cmd == "rsum":
         _require(config, "x")
-        value = linnik.sum_r_shifted_primes(config.x, threads=config.threads)
+        value = linnik.sum_r_shifted_primes(config.x)
         return emit_report(
             [{"x": config.x, "value": value}], config.output_format, cmd,
             {"x": config.x}, ["x", "value"],
@@ -194,7 +193,7 @@ def render(config: RunConfig) -> str:
         )
     if cmd == "bvsum":
         params = _params(config)
-        value = linnik.bv_sum(params, threads=config.threads)
+        value = linnik.bv_sum(params)
         return emit_report(
             [{"value": value}], config.output_format, cmd,
             {"x": params.X, "A": params.A, "a": params.a, "Q": params.Q},
@@ -202,7 +201,7 @@ def render(config: RunConfig) -> str:
         )
     if cmd == "decompose":
         params = _params(config)
-        result = linnik.decompose(params, threads=config.threads)
+        result = linnik.decompose(params)
         total = result.total
         ratio = float(result.lhs / total) if total else None
         meta = {
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="output_format")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1, help="has no effect")
     common.add_argument("--x", type=int)
     common.add_argument("--A", type=float)
     common.add_argument("--a", type=int, default=1)
@@ -303,7 +302,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         q=ns.q,
         y=ns.y,
         output_format=ns.output_format,
-        threads=ns.threads,
         extra=extra,
     )
 

@@ -275,12 +275,18 @@ def hooley15_sums(
     u_exact = Fraction(u)
     up_exact = Fraction(u_prime)
     stretch = _log_powers(params.X, omega)[1]
+    d_end = float(u_exact) * stretch
+    if d_end > BULK_TABLE_LIMIT:
+        raise PreconditionError(
+            f"the d range end u(log X)^omega = {d_end:.6g} exceeds the bulk cap "
+            f"{BULK_TABLE_LIMIT}; lower u or omega"
+        )
     float_terms: list[float] = []
     frac_terms: list[Fraction] = []
     h = 1
     while h <= u_exact:
         d_lo = u_exact / h
-        d_hi = float(u_exact) * stretch / h
+        d_hi = d_end / h
         y_h = up_exact / h
         d = int(d_lo) + 1
         while d < d_hi:

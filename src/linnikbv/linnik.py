@@ -3,14 +3,12 @@ the averaged discrepancy over moduli q <= (log X)^A, its four-way divisor-range
 decomposition, and the truncated product for the shifted-prime asymptotic.
 
 All counts and main terms are exact (integers and Fractions); floating point
-enters only in the final constant product and in reporting.  Prime-range work
-is chunked with a fixed chunk size so that thread count never changes results.
+enters only in the final constant product and in reporting.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,12 +24,9 @@ from .sieve import (
     prime_array,
 )
 
-# Fixed work-partition size for parallel reductions; independent of the
-# thread count so that partial results merge identically.
+# Primes placed per step when the weight array is filled, so that no index
+# or value temporary spans all the primes.
 REDUCTION_CHUNK = 1 << 16
-
-# Most tasks handed to the thread pool at once; fixed for the same reason.
-POOL_TASKS = 64
 
 
 @dataclass(frozen=True)
@@ -75,34 +70,15 @@ def theta0() -> float:
     return 0.5 - 0.25 * math.e * math.log(2.0)
 
 
-def _map_ordered(fn, items, threads):
-    """[fn(item) for item in items], in at most POOL_TASKS contiguous blocks."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    size = -(-len(items) // POOL_TASKS)
-    blocks = [items[i : i + size] for i in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = pool.map(lambda block: [fn(item) for item in block], blocks)
-        return [out for block in done for out in block]
-
-
-def _chunks(length):
-    return [(i, min(i + REDUCTION_CHUNK, length)) for i in range(0, length, REDUCTION_CHUNK)]
-
-
-def sum_r_shifted_primes(X: int, threads: int = 1) -> int:
+def sum_r_shifted_primes(X: int) -> int:
     """Exact sum of r(p - 1) over primes p <= X.
 
-    Evaluated from the bulk chi divisor-sum table (r(n) = 4 sum chi(d)),
-    reduced chunk by chunk; integer addition makes the merge order moot.
+    Four times the sum of the prime-weight array (see _prime_weights), which
+    holds r(p - 1)/4 = sum of chi over the divisors of p - 1 at each prime.
     """
     if X < 2:
         raise PreconditionError(f"sum_r_shifted_primes requires X >= 2, got {X}")
-    vals = chi_divisor_sums(X)[prime_array(X) - 1]
-    partials = _map_ordered(
-        lambda span: int(vals[span[0] : span[1]].sum()), _chunks(len(vals)), threads
-    )
-    return 4 * sum(partials)
+    return 4 * int(_prime_weights(X).sum())
 
 
 def linnik_constant(tolerance: float) -> LinnikConstant:
@@ -146,13 +122,14 @@ def _prime_weights(X: int) -> np.ndarray:
     The residue-class sum over p = a (q), p <= X, is then the strided sum
     w[a % q :: q].sum().  r/4 is at most 48 below the bulk cap, so it fits
     a byte.  Filled chunk by chunk so that no index or value temporary
-    spans all the primes.
+    spans all the primes.  The chi table comes first: it enforces the bulk
+    cap before any sieving starts.
     """
-    primes = prime_array(X)
     b = chi_divisor_sums(X)
+    primes = prime_array(X)
     w = np.zeros(X + 1, dtype=np.uint8)
-    for lo, hi in _chunks(len(primes)):
-        p = primes[lo:hi]
+    for lo in range(0, len(primes), REDUCTION_CHUNK):
+        p = primes[lo : lo + REDUCTION_CHUNK]
         w[p] = b[p - 1]
     return w
 
@@ -166,24 +143,26 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
 
 
-def bv_sum(params: Params, threads: int = 1) -> Fraction:
+def bv_sum(params: Params) -> Fraction:
     """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|.
 
     The prime weights are laid out once by n (see _prime_weights); each
     modulus reads its residue class as one strided sum, so the whole
     average costs about X log Q reads instead of a mask over every prime
-    per modulus.
+    per modulus.  The terms are grouped by phi = phi(q):
+    |W_q - T/phi| = |W_q phi - T| / phi, so each group adds integers and
+    one Fraction is built per distinct phi; the sum stays exact.
     """
     moduli = _moduli(params)
     w = _prime_weights(params.X)
     total = 4 * int(w.sum())
     a = params.a
-
-    def term(q):
-        weighted = 4 * int(w[a % q :: q].sum())
-        return abs(Fraction(weighted) - Fraction(total, arith.euler_phi(q)))
-
-    return sum(_map_ordered(term, moduli, threads), Fraction(0))
+    groups: dict[int, int] = {}
+    for q in moduli:
+        phi = arith.euler_phi(q)
+        gap = abs(4 * int(w[a % q :: q].sum()) * phi - total)
+        groups[phi] = groups.get(phi, 0) + gap
+    return sum((Fraction(gap, phi) for phi, gap in groups.items()), Fraction(0))
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -211,7 +190,7 @@ def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
     return low, mid, high
 
 
-def decompose(params: Params, threads: int = 1) -> DecompositionResult:
+def decompose(params: Params) -> DecompositionResult:
     """The four divisor-range sums S1..S4 by direct summation, plus the lhs.
 
     S1 and S2 compare progression-restricted inner sums with their
@@ -248,6 +227,6 @@ def decompose(params: Params, threads: int = 1) -> DecompositionResult:
         lhs_q = abs(Fraction(4 * int(vr[mask].sum())) - Fraction(t_r, phi))
         return s1, s2, s3, s4, lhs_q
 
-    parts = _map_ordered(terms, moduli, threads)
+    parts = [terms(q) for q in moduli]
     S = [sum(col, Fraction(0)) for col in zip(*parts)] if parts else [Fraction(0)] * 5
     return DecompositionResult(S[0], S[1], S[2], S[3], S[4], params)

@@ -277,9 +277,8 @@ def test_murty_ratio_stability():
 
 
 def test_reports_deterministic_across_threads(capsys):
-    # Q = (log 10^5)^3 gives about 1526 moduli: several per pool block, and
-    # several blocks per thread.
-    assert len(linnik._moduli(Params(10**5, 3.0, 1))) > 3 * linnik.POOL_TASKS
+    # --threads is accepted and has no effect: Q = (log 10^5)^3 gives about
+    # 1526 moduli, and every thread count prints the same bytes.
     bv_outputs = set()
     dec_outputs = set()
     for threads in ("1", "2", "8"):

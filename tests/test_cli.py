@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from linnikbv import cli, lemmas, linnik
-from linnikbv.cli import RunConfig, emit_report
+from linnikbv.cli import emit_report
 from linnikbv.sieve import Params
 
 
@@ -246,6 +246,12 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("decompose --x 10000 --A 10 --override-exponent 0", "exceeds X"),
         # (log 1000)^300 is about 1e251: finite, but far past any table.
         ("lemma hooley13 --y 1000 --alpha 0.5 --omega 300", "bulk cap"),
+        # u(log 1000)^300 is about 1e253 for hooley15's d range.
+        ("lemma hooley15 --x 1000 --u 20 --n 12 --which 3 --omega 300", "bulk cap"),
+        # Every weight-array command checks the cap before it sieves.
+        ("rsum --x 100000000000", "bulk cap"),
+        ("bvsum --x 100000000000 --A 1", "bulk cap"),
+        ("discrepancy --x 100000000000 --q 3 --a 1", "bulk cap"),
     ],
 )
 def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from linnikbv import linnik, sieve
+from linnikbv import arith, linnik, sieve
 from linnikbv.errors import PreconditionError
 from linnikbv.sieve import Params
 
@@ -35,9 +35,18 @@ def test_sum_r_frozen_value():
     assert linnik.sum_r_shifted_primes(10**5) == 25784
 
 
-def test_sum_r_reduction_order_independent():
-    values = {linnik.sum_r_shifted_primes(10**5, threads=t) for t in (1, 2, 8)}
-    assert values == {25784}
+def test_sum_r_counts_a_prime_endpoint():
+    # X = 10037 is prime with r(X - 1) = 16, so the last weight counts.
+    X = 10037
+    expected = sum(oracles.r_lattice(p - 1) for p in oracles.primes(X))
+    assert linnik.sum_r_shifted_primes(X) == expected == 3392
+
+
+def test_sum_r_frozen_value_over_two_weight_chunks():
+    # 78 498 primes: the weight array is filled in two chunks.
+    assert len(sieve.prime_array(10**6)) > linnik.REDUCTION_CHUNK
+    # Frozen from a direct gather of the chi table at the primes.
+    assert linnik.sum_r_shifted_primes(10**6) == 208236
 
 
 def test_linnik_constant_single_factor():
@@ -180,12 +189,14 @@ def test_bv_sum_strided_edges(a):
     assert linnik.bv_sum(params) == oracles.bv_sum_direct(EDGE_X, 2.0, a)
 
 
-def test_bv_sum_thread_counts_agree():
+def test_bv_sum_equals_per_modulus_discrepancies():
+    # About 1500 moduli, many sharing a phi value: the phi-grouped sum must
+    # equal the sum of the per-modulus gaps exactly.
     params = Params(10**5, 3.0, 3)
-    # Several moduli per pool block, and several blocks per thread.
-    assert len(linnik._moduli(params)) > 3 * linnik.POOL_TASKS
-    values = {linnik.bv_sum(params, threads=t) for t in (1, 2, 8)}
-    assert len(values) == 1
+    moduli = linnik._moduli(params)
+    assert len({arith.euler_phi(q) for q in moduli}) < len(moduli)
+    expected = sum(abs(linnik.discrepancy(10**5, q, 3).discrepancy) for q in moduli)
+    assert linnik.bv_sum(params) == expected
 
 
 def test_chi_divisor_sum_fits_a_byte_below_bulk_cap():
@@ -235,12 +246,6 @@ def test_decompose_components_nonnegative_and_lhs_consistent():
         assert part >= 0
     assert result.lhs == linnik.bv_sum(params)
     assert result.total == result.S1 + result.S2 + result.S3 + result.S4
-
-
-def test_decompose_thread_counts_agree():
-    params = Params(10**4, 1.0, 1, override_exponent=1.0)
-    runs = [linnik.decompose(params, threads=t) for t in (1, 2, 8)]
-    assert all(r == runs[0] for r in runs)
 
 
 def test_decompose_second_oracle_point():
