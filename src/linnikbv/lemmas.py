@@ -12,6 +12,7 @@ term count exceeds EXACT_SUM_TERM_LIMIT; below it, results are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,22 +24,27 @@ import numpy as np
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import theta0
+from .linnik import REDUCTION_CHUNK, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
-    DEFAULT_SEGMENT_LENGTH,
     Params,
-    divisors_of,
+    _chi_divisor_window,
+    check_bulk_limit,
     f_enveloping,
-    factor_table,
+    iter_prime_segments,
     omega_table,
     prime_array,
     totient_table,
 )
+from .sieve import divisors_of  # noqa: F401  perfbench/tracer.py counts calls here
 
 Real = Union[int, float, Fraction]
 
 EXACT_SUM_TERM_LIMIT = 20_000
+
+# Largest X that brun_titchmarsh_check streams primes up to: X = 10**8 takes
+# about a second, and far larger ranges would sieve for minutes.
+BRUN_TITCHMARSH_LIMIT = 1 << 30
 
 # Denominator cap below which an alpha passed as float is treated as the
 # exact rational it represents (covers 1/2 .. 7/4 in quarter steps).
@@ -77,6 +83,23 @@ def _sum_fractions(terms: list[Fraction]) -> Union[Fraction, float]:
     return math.fsum(float(t) for t in terms)
 
 
+def _fsum_chunks(chunks) -> float:
+    # fsum is correctly rounded: the chunking cannot change the result.
+    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
+
+
+def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
+    """Sum of 1/n over the integer array dens, exact up to the term cutoff.
+
+    Past it, 1.0/n equals float(Fraction(1, n)) for n < 2**53, so the fsum
+    has the bytes of a per-term fsum of the Fractions.
+    """
+    if dens.size <= EXACT_SUM_TERM_LIMIT:
+        return sum((Fraction(1, n) for n in dens.tolist()), Fraction(0))
+    step = REDUCTION_CHUNK
+    return _fsum_chunks(1.0 / dens[lo : lo + step] for lo in range(0, dens.size, step))
+
+
 def _log_powers(x: int, omega: float) -> tuple[float, float]:
     """(log x)^-omega and (log x)^omega, for a positive finite omega."""
     if not 0 < omega < math.inf:
@@ -92,22 +115,17 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """Sum over p <= X of |sum of chi over divisors of p-1 in the middle window|.
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
-    both sides.  Exact integer.
+    both sides, so the integer d run from floor(lo) + 1 to ceil(hi) - 1.
+    Exact integer.
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
     shrink, stretch = _log_powers(X, omega)
     lo = math.sqrt(X) * shrink
     hi = math.sqrt(X) * stretch
-    table = factor_table(1, X + 1) if X + 1 <= DEFAULT_SEGMENT_LENGTH else None
-    total = 0
-    for p in prime_array(X):
-        inner = 0
-        for d in divisors_of(int(p) - 1, table):
-            if lo < d < hi:
-                inner += arith.chi(d)
-        total += abs(inner)
-    return total
+    # Every p - 1 is at most X - 1; the window build enforces the bulk cap.
+    win = _chi_divisor_window(X - 1, math.floor(lo) + 1, math.ceil(hi) - 1)
+    return int(np.abs(win[prime_array(X) - 1]).sum())
 
 
 def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
@@ -116,8 +134,13 @@ def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
         raise PreconditionError(f"brun_titchmarsh_check requires 1 <= q < X, got q={q}, X={X}")
     if gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    primes = prime_array(X)
-    count = int(np.count_nonzero(primes % q == a % q))
+    if X > BRUN_TITCHMARSH_LIMIT:
+        raise PreconditionError(
+            f"X = {X} exceeds the streaming limit {BRUN_TITCHMARSH_LIMIT} of "
+            "brun_titchmarsh_check; lower X"
+        )
+    # Counted segment by segment, so memory stays O(segment) at any X.
+    count = sum(int(np.count_nonzero(seg % q == a % q)) for seg in iter_prime_segments(X))
     bound = 2.0 * X / (arith.euler_phi(q) * math.log(2.0 * X / q))
     return BrunTitchmarshResult(count, bound, count < bound)
 
@@ -128,12 +151,13 @@ def count_N(n: int, r: int) -> int:
         raise PreconditionError(f"count_N requires r >= 1, got {r}")
     if 2 * r >= n:
         raise PreconditionError(f"count_N requires r < n/2, got r={r}, n={n}")
-    prime_set = set(int(p) for p in prime_array(n))
-    count = 0
-    for p2 in prime_array((n - 2) // r):
-        if n - r * int(p2) in prime_set:
-            count += 1
-    return count
+    check_bulk_limit(n)
+    primes = prime_array(n)
+    is_prime = np.zeros(n + 1, dtype=bool)
+    is_prime[primes] = True
+    p2 = primes[: np.searchsorted(primes, (n - 2) // r, side="right")]
+    # n - r*p2 >= 2 for every p2 <= (n - 2)/r.
+    return int(np.count_nonzero(is_prime[n - r * p2]))
 
 
 def f_progression_sum(y: int, k: int, a: int, params: Params) -> int:
@@ -159,14 +183,6 @@ def estimate_B(params: Params, y: int) -> Fraction:
     return Fraction(sum(f_enveloping(n, params) for n in range(1, y)), y)
 
 
-def _omega_values(limit: int):
-    """Omega lookup for 1..limit, bulk when the table fits, direct otherwise."""
-    if limit <= BULK_TABLE_LIMIT:
-        table = omega_table(limit)
-        return lambda n: int(table[n])
-    return arith.omega_big
-
-
 def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
     """Sum over n <= y of alpha^Omega(n); alpha confined to [1/2, 7/4].
 
@@ -178,11 +194,14 @@ def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
     if not Fraction(1, 2) <= alpha <= Fraction(7, 4):
         raise PreconditionError(f"alpha must lie in [1/2, 7/4], got {alpha}")
     alpha_frac = Fraction(alpha)
-    om = _omega_values(y)
+    om = omega_table(y)[1:]
     if alpha_frac.denominator <= EXACT_ALPHA_DENOMINATOR and y <= EXACT_SUM_TERM_LIMIT:
-        return sum((alpha_frac ** om(n) for n in range(1, y + 1)), Fraction(0))
+        counts = np.bincount(om).tolist()
+        return sum((c * alpha_frac**k for k, c in enumerate(counts)), Fraction(0))
     af = float(alpha_frac)
-    return math.fsum(af ** om(n) for n in range(1, y + 1))
+    powers = np.array([af**k for k in range(int(om.max()) + 1)])
+    step = REDUCTION_CHUNK
+    return _fsum_chunks(powers[om[lo : lo + step]] for lo in range(0, y, step))
 
 
 def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, float]:
@@ -203,14 +222,9 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
             f"{BULK_TABLE_LIMIT}; lower y or omega"
         )
     threshold = alpha * _loglog(y)
-    first = int(lo) + 1  # least integer strictly above lo (lo > 0)
-    om = _omega_values(int(hi)) if hi >= first else arith.omega_big
-    terms = [
-        Fraction(1, n)
-        for n in range(max(first, 1), math.ceil(hi))
-        if lo < n < hi and om(n) <= threshold
-    ]
-    return _sum_fractions(terms)
+    # The integers strictly between lo > 0 and hi, all at most int(hi).
+    ns = np.arange(int(lo) + 1, math.ceil(hi))
+    return _sum_reciprocals(ns[omega_table(int(hi))[ns] <= threshold])
 
 
 def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
@@ -222,11 +236,10 @@ def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
     threshold = alpha * _loglog(y) - 1.0
-    om = _omega_values(y)
-    terms = [
-        Fraction(1, n) for n in range(q, y + 1, q) if om(n) > threshold
-    ]
-    return _sum_fractions(terms)
+    # om[q::q] holds Omega(n) for n = q, 2q, ..., up to y; none when q > y,
+    # and min keeps a q past int64 out of the product.
+    picked = np.flatnonzero(omega_table(y)[q::q] > threshold)
+    return _sum_reciprocals(min(q, y) * (picked + 1))
 
 
 def hooley14_partial(
@@ -241,6 +254,7 @@ def hooley14_partial(
         raise PreconditionError("hooley14_partial requires r, s, n >= 1")
     if gcd(r * s, n) != 1:
         raise PreconditionError(f"gcd(rs, n) must be 1, got rs={r * s}, n={n}")
+    check_bulk_limit(L)
     ns = n * s
     terms = []
     for l in range(max(math.ceil(y), 1), L + 1):
@@ -283,20 +297,23 @@ def hooley15_sums(
         )
     float_terms: list[float] = []
     frac_terms: list[Fraction] = []
+    sigma_d: dict[int, Fraction] = {}  # sigma_-1(d), once per distinct d
     h = 1
     while h <= u_exact:
         d_lo = u_exact / h
         d_hi = d_end / h
         y_h = up_exact / h
+        if which == 2:
+            sigma_n = arith.sigma_minus1(n, y_h)
         d = int(d_lo) + 1
         while d < d_hi:
             if d > d_lo:
                 if which == 1:
                     float_terms.append(arith.r_envelope(n, h, d, y_h))
                 elif which == 2:
-                    frac_terms.append(
-                        arith.sigma_minus1(d) / (h * d) * arith.sigma_minus1(n, y_h)
-                    )
+                    if d not in sigma_d:
+                        sigma_d[d] = arith.sigma_minus1(d)
+                    frac_terms.append(sigma_d[d] / (h * d) * sigma_n)
                 else:
                     frac_terms.append(Fraction(h) / u_exact / (h * d))
             d += 1
@@ -310,10 +327,7 @@ def murty_sum(X: int) -> Union[Fraction, float]:
     """Sum over n <= X of 1/phi(n); exact below the term cutoff."""
     if X < 2:
         raise PreconditionError(f"murty_sum requires X >= 2, got {X}")
-    phi = totient_table(X)
-    if X <= EXACT_SUM_TERM_LIMIT:
-        return sum((Fraction(1, int(phi[n])) for n in range(1, X + 1)), Fraction(0))
-    return math.fsum(1.0 / float(phi[n]) for n in range(1, X + 1))
+    return _sum_reciprocals(totient_table(X)[1:])
 
 
 def _epq_scan(p: int, q: int, params: Params) -> tuple[int, int]:

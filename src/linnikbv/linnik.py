@@ -24,8 +24,8 @@ from .sieve import (
     prime_array,
 )
 
-# Primes placed per step when the weight array is filled, so that no index
-# or value temporary spans all the primes.
+# Entries per step of a reduction over a long array (the primes placed in
+# the weight array, the terms of an fsum), so that no temporary spans it all.
 REDUCTION_CHUNK = 1 << 16
 
 

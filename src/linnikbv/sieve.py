@@ -11,8 +11,10 @@ chi-divisor-sum, totient and Omega tables come from one prime-power kernel:
 only the returned table spans the whole range 0..limit (limit at most
 BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
 kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
-allocated at import.  The squarefree-prime product P is never formed; only
-its prime support below the smoothness bound Y is stored.
+allocated at import.  The chi-divisor window arrays behind chi_range_sums
+and the hooley1 checker are whole-range int32 arrays under the same cap,
+like the returned tables.  The squarefree-prime product P is never formed;
+only its prime support below the smoothness bound Y is stored.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ def f_enveloping(n: int, params: Params) -> int:
     return g + h_indicator(n, params)
 
 
-def _check_bulk_limit(limit: int) -> None:
+def check_bulk_limit(limit: int) -> None:
     if limit > BULK_TABLE_LIMIT:
         raise ConfigurationError(
             f"whole-range table for limit {limit} exceeds the bulk cap of "
@@ -371,34 +373,54 @@ def chi_divisor_sums(limit: int) -> np.ndarray:
     for p = 3 (mod 4) b(p^e) is 1 when e is even, else 0.  By the
     two-squares identity, r(n) = 4 * b[n].
     """
-    _check_bulk_limit(limit)
+    check_bulk_limit(limit)
     b = _prime_power_table(limit, np.int32, 1, _chi_local, _chi_leftover)
     b.flags.writeable = False
     return b
+
+
+def _chi_divisor_window(limit: int, first: int, last: int) -> np.ndarray:
+    """int32 array w over 0..limit with w[n] = sum of chi(d) over d | n, first <= d <= last.
+
+    An odd d <= sqrt(limit) adds chi(d) along the slice w[d::d].  A larger
+    d has cofactor e = n/d <= sqrt(limit) (Hooley's switch d <-> n/d), so
+    each such e scatters chi(d) onto w[e*d] for the window's odd d up to
+    limit // e, taken TABLE_SEGMENT_LENGTH of them at a time.  Even d add
+    nothing, since chi vanishes there.
+    """
+    check_bulk_limit(limit)
+    w = np.zeros(limit + 1, dtype=np.int32)
+    first, last = max(first, 1), min(last, limit)
+    root = isqrt(limit)
+    for d in range(first | 1, min(last, root) + 1, 2):
+        w[d::d] += 1 - (d & 2)
+    step = 2 * TABLE_SEGMENT_LENGTH
+    for lo in range(max(first, root + 1) | 1, last + 1, step):
+        ds = np.arange(lo, min(lo + step, last + 1), 2, dtype=np.int32)
+        chi = 1 - (ds & 2)
+        for e in range(1, limit // lo + 1):
+            k = min(ds.size, (limit // e - lo) // 2 + 1)
+            w[e * ds[:k]] += chi[:k]
+    return w
 
 
 def chi_range_sums(limit: int, D: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-n chi sums over divisors split at D and limit/D.
 
     Returns (low, mid, high) with low[n] summing chi(d) over d | n, d <= D,
-    mid over D < d < limit/D, and high over d >= limit/D.  Membership is
-    tested independently per displayed inequality, so the low and high
-    ranges can only both contain a d when D >= limit/D.
+    mid over D < d < limit/D, and high over d >= limit/D.  For an integer
+    d these are the windows [1, floor(D)], [floor(D) + 1, ceil(limit/D) - 1]
+    and [ceil(limit/D), limit], so each inequality keeps its meaning; when
+    D >= limit/D the mid window is empty and low and high overlap.
     """
-    _check_bulk_limit(limit)
     upper = limit / D
-    low = np.zeros(limit + 1, dtype=np.int32)
-    mid = np.zeros(limit + 1, dtype=np.int32)
-    high = np.zeros(limit + 1, dtype=np.int32)
-    for d in range(1, limit + 1, 2):
-        c = 1 if d % 4 == 1 else -1
-        if d <= D:
-            low[d::d] += c
-        if D < d < upper:
-            mid[d::d] += c
-        if d >= upper:
-            high[d::d] += c
-    return low, mid, high
+    cut = math.floor(D)
+    top = math.ceil(upper) if upper < math.inf else limit + 1
+    return (
+        _chi_divisor_window(limit, 1, cut),
+        _chi_divisor_window(limit, cut + 1, top - 1),
+        _chi_divisor_window(limit, top, limit),
+    )
 
 
 def _phi_local(view, p, e):
@@ -412,7 +434,7 @@ def _phi_leftover(view, rem):
 @lru_cache(maxsize=4)
 def totient_table(limit: int) -> np.ndarray:
     """Euler phi for 0..limit as an int64 array (phi[0] = 0)."""
-    _check_bulk_limit(limit)
+    check_bulk_limit(limit)
     phi = _prime_power_table(limit, np.int64, 1, _phi_local, _phi_leftover)
     phi.flags.writeable = False
     return phi
@@ -429,7 +451,7 @@ def _omega_leftover(view, rem):
 @lru_cache(maxsize=4)
 def omega_table(limit: int) -> np.ndarray:
     """Omega (prime factors with multiplicity) for 0..limit as uint8."""
-    _check_bulk_limit(limit)
+    check_bulk_limit(limit)
     om = _prime_power_table(limit, np.uint8, 0, _omega_local, _omega_leftover)
     om.flags.writeable = False
     return om

@@ -280,3 +280,30 @@ def omega_table(limit):
                 om[pk::pk] += 1
                 pk *= p
     return om
+
+
+def chi_divisor_window(limit, first, last):
+    """w[n] = sum of chi(d) over d | n with first <= d <= last, 0 <= n <= limit."""
+    w = np.zeros(limit + 1, dtype=np.int32)
+    for d in range(max(first, 1), min(last, limit) + 1):
+        if d % 2:
+            w[d::d] += chi(d)
+    return w
+
+
+def chi_range_sums(limit, D):
+    """(low, mid, high) chi sums over d | n split at D and limit/D, one
+    slice update per odd d, each inequality tested as displayed."""
+    upper = limit / D
+    low = np.zeros(limit + 1, dtype=np.int32)
+    mid = np.zeros(limit + 1, dtype=np.int32)
+    high = np.zeros(limit + 1, dtype=np.int32)
+    for d in range(1, limit + 1, 2):
+        c = 1 if d % 4 == 1 else -1
+        if d <= D:
+            low[d::d] += c
+        if D < d < upper:
+            mid[d::d] += c
+        if d >= upper:
+            high[d::d] += c
+    return low, mid, high

@@ -252,6 +252,16 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("rsum --x 100000000000", "bulk cap"),
         ("bvsum --x 100000000000 --A 1", "bulk cap"),
         ("discrepancy --x 100000000000 --q 3 --a 1", "bulk cap"),
+        # So does every lemma checker whose work grows with its range.
+        ("lemma hooley1 --x 100000000000", "bulk cap"),
+        ("lemma count_n --n 100000000000 --r 1", "bulk cap"),
+        ("lemma brun_titchmarsh --x 100000000000 --q 3 --a 1", "streaming limit"),
+        ("lemma hooley13q --y 100000000000 --alpha 1.25 --q 4", "bulk cap"),
+        ("lemma omega_power --y 100000000000 --alpha 1.5", "bulk cap"),
+        (
+            "lemma hooley14 --x 1000000 --r 1 --s 1 --n 1 --y 10 --l-max 100000000000",
+            "bulk cap",
+        ),
     ],
 )
 def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):

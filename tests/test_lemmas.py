@@ -38,6 +38,11 @@ def test_hooley1_omega_dependence():
     assert values == [hooley1_direct(10**3, w) for w in (0.5, 1.0, 2.0)]
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 5.0])
+def test_hooley1_matches_direct_scan(omega):
+    assert lemmas.hooley1_lhs(10**4, omega) == hooley1_direct(10**4, omega)
+
+
 def test_brun_titchmarsh_examples():
     count, bound, holds = lemmas.brun_titchmarsh_check(100, 3, 1)
     assert (count, holds) == (11, True)
@@ -47,6 +52,11 @@ def test_brun_titchmarsh_examples():
     count, bound, holds = lemmas.brun_titchmarsh_check(50, 49, 1)
     assert (count, holds) == (0, True)
     assert bound > 1
+
+
+def test_brun_titchmarsh_counts_match_oracle():
+    for X, q, a in ((10**5, 7, 3), (10**5, 12, 11), (2, 1, 1)):
+        assert lemmas.brun_titchmarsh_check(X, q, a).count == oracles.pi_progression(X, q, a)
 
 
 def test_brun_titchmarsh_preconditions():
@@ -157,6 +167,29 @@ def test_hooley13q_unrestricted_case():
         assert lemmas.hooley13q_sum(y, alpha, q) == full
 
 
+def _hooley13q_terms(y, alpha, q):
+    threshold = alpha * math.log(math.log(y)) - 1.0
+    return [Fraction(1, n) for n in range(q, y + 1, q) if oracles.omega(n) > threshold]
+
+
+def test_hooley13q_exact_up_to_the_term_limit():
+    # y = 80004 gives exactly EXACT_SUM_TERM_LIMIT terms at alpha 1.25, q 4.
+    terms = _hooley13q_terms(80004, 1.25, 4)
+    assert len(terms) == lemmas.EXACT_SUM_TERM_LIMIT
+    value = lemmas.hooley13q_sum(80004, 1.25, 4)
+    assert isinstance(value, Fraction)
+    assert value == sum(terms, Fraction(0))
+
+
+def test_hooley13q_fsum_past_the_term_limit():
+    # y = 80008 gives one term more; the fsum of the same floats, any order.
+    terms = _hooley13q_terms(80008, 1.25, 4)
+    assert len(terms) == lemmas.EXACT_SUM_TERM_LIMIT + 1
+    value = lemmas.hooley13q_sum(80008, 1.25, 4)
+    assert isinstance(value, float)
+    assert value == math.fsum(float(t) for t in terms)
+
+
 def test_hooley14_examples():
     assert lemmas.hooley14_partial(1, 1, 1, 10, 5) == 0  # L < y
     assert lemmas.hooley14_partial(1, 1, 1, 1, 5) == Fraction(3, 4)
@@ -202,6 +235,21 @@ def test_murty_examples():
 def test_murty_oracle_small():
     expected = sum((Fraction(1, oracles.phi(n)) for n in range(1, 201)), Fraction(0))
     assert lemmas.murty_sum(200) == expected
+
+
+def test_murty_exact_at_the_term_limit():
+    phi = oracles.totient_table(lemmas.EXACT_SUM_TERM_LIMIT)
+    value = lemmas.murty_sum(lemmas.EXACT_SUM_TERM_LIMIT)
+    assert isinstance(value, Fraction)
+    assert value == sum((Fraction(1, int(f)) for f in phi[1:]), Fraction(0))
+
+
+def test_murty_fsum_past_the_term_limit():
+    X = lemmas.EXACT_SUM_TERM_LIMIT + 1
+    phi = oracles.totient_table(X)
+    value = lemmas.murty_sum(X)
+    assert isinstance(value, float)
+    assert value == math.fsum(float(Fraction(1, int(phi[n]))) for n in range(1, X + 1))
 
 
 def test_epq_empty_range():

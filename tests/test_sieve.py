@@ -221,6 +221,54 @@ def test_chi_range_sums_match_split():
         assert (int(low[n]), int(mid[n]), int(high[n])) == (l, m, h)
 
 
+def _window_cases(limit):
+    """Window ends at 1, around sqrt(limit), at or past limit, and empty."""
+    root = isqrt(limit)
+    ends = sorted({0, 1, 2, 7, root - 1, root, root + 1, root + 2, limit // 3,
+                   limit - 1, limit, limit + 5})
+    return [(first, last) for first in ends for last in ends]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 9, 100, 101, 1000, 4099])
+def test_chi_divisor_window_matches_oracle(limit):
+    for first, last in _window_cases(limit):
+        got = sieve._chi_divisor_window(limit, first, last)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, oracles.chi_divisor_window(limit, first, last)), (first, last)
+
+
+def test_chi_divisor_window_spans_segments():
+    # More odd d above sqrt(limit) than one scatter segment holds.
+    limit = 3 * 2**16 + 17
+    for first, last in [(1, limit), (isqrt(limit) + 1, limit), (600, 70000), (70001, 131073)]:
+        got = sieve._chi_divisor_window(limit, first, last)
+        assert np.array_equal(got, oracles.chi_divisor_window(limit, first, last)), (first, last)
+
+
+def test_chi_divisor_window_checks_bulk_cap():
+    with pytest.raises(ConfigurationError, match="bulk cap"):
+        sieve._chi_divisor_window(sieve.BULK_TABLE_LIMIT + 1, 1, 10)
+
+
+@pytest.mark.parametrize(
+    "limit, D",
+    [
+        (10**4, 1),
+        (10**4, 9.7),
+        (10**4, 100),  # D = X/D
+        (10**4, 300),  # D > X/D: low and high overlap, mid is empty
+        (10**4, 99.5),
+        (10**4, 10**6),
+        (3 * 2**16 + 17, 20.3),
+    ],
+)
+def test_chi_range_sums_match_oracle(limit, D):
+    got = sieve.chi_range_sums(limit, D)
+    for arr, want in zip(got, oracles.chi_range_sums(limit, D)):
+        assert arr.dtype == np.int32
+        assert np.array_equal(arr, want)
+
+
 def test_totient_and_omega_tables():
     phi = sieve.totient_table(2000)
     om = sieve.omega_table(2000)
