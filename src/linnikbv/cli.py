@@ -16,31 +16,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import lemmas, linnik
 from .errors import ConfigurationError, PreconditionError
-from .sieve import Params, primes_up_to
+from .sieve import Params, check_bulk_limit, primes_up_to
 
 
 class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    x: Optional[int] = None
-    A: Optional[float] = None
-    a: int = 1
-    override_exponent: Optional[float] = None
-    omega: Optional[float] = None
-    alpha: Optional[float] = None
-    q: Optional[int] = None
-    y: Optional[int] = None
-    output_format: str = "csv"
-    extra: dict = field(default_factory=dict)
 
 
 def _num(value):
@@ -96,43 +79,93 @@ def emit_report(rows, fmt, command, params, columns) -> str:
     return buf.getvalue()
 
 
-def _value(config, name):
-    value = getattr(config, name, None)
-    return config.extra.get(name) if value is None else value
-
-
-def _require(config, *names):
-    missing = [n for n in names if _value(config, n) is None]
+def _require(ns, *names):
+    missing = [n for n in names if getattr(ns, n) is None]
     if missing:
         raise UsageError(
-            f"command '{config.command}' requires --{', --'.join(m.replace('_', '-') for m in missing)}"
+            f"command '{ns.command}' requires --{', --'.join(m.replace('_', '-') for m in missing)}"
         )
 
 
-def _params(config, need_A=True) -> Params:
-    _require(config, "x", *(["A"] if need_A else []))
-    a_val = float(config.A) if config.A is not None else 0.0
-    return Params(config.x, a_val, config.a, override_exponent=config.override_exponent)
+def _params(ns, need_A=True) -> Params:
+    _require(ns, "x", *(["A"] if need_A else []))
+    A = 0.0 if ns.A is None else ns.A
+    return Params(ns.x, A, ns.a, override_exponent=ns.override_exponent)
 
 
-def _checker_inputs(config, checker):
+def _checker_inputs(ns, checker):
     """Params and report inputs read from the flags named in a checker entry."""
-    attrs = {name: flag[2:].replace("-", "_") for name, flag in checker.inputs}
+    attrs = {name: flag[2:].replace("-", "_") for name, flag, _type in checker.inputs}
     required = [attrs[name] for name in attrs if name not in checker.defaults]
-    _require(config, *(["x"] if checker.needs_params else []), *required)
-    params = _params(config, need_A=False) if checker.needs_params else None
-    return params, {name: _value(config, attr) for name, attr in attrs.items()}
+    _require(ns, *(["x"] if checker.needs_params else []), *required)
+    params = _params(ns, need_A=False) if checker.needs_params else None
+    return params, {name: getattr(ns, attr) for name, attr in attrs.items()}
 
 
-def _run_lemma(config):
-    lemma_id = config.extra["lemma_id"]
+def _primes(ns):
+    _require(ns, "x")
+    check_bulk_limit(ns.x)
+    return [{"p": p} for p in primes_up_to(ns.x)], ["p"], {"x": ns.x}
+
+
+def _rsum(ns):
+    _require(ns, "x")
+    value = linnik.sum_r_shifted_primes(ns.x)
+    return [{"x": ns.x, "value": value}], ["x", "value"], {"x": ns.x}
+
+
+def _discrepancy(ns):
+    _require(ns, "x", "q")
+    row = linnik.discrepancy(ns.x, ns.q, ns.a)
+    columns = ["q", "a", "weighted_count", "main_term", "discrepancy"]
+    return [vars(row)], columns, {"x": ns.x}
+
+
+def _bvsum(ns):
+    params = _params(ns)
+    meta = {"x": params.X, "A": params.A, "a": params.a, "Q": params.Q}
+    return [{"value": linnik.bv_sum(params)}], ["value"], meta
+
+
+def _decompose(ns):
+    params = _params(ns)
+    result = linnik.decompose(params)
+    total = result.total
+    meta = {
+        "x": params.X, "A": params.A, "a": params.a,
+        "override_exponent": params.override_exponent,
+        "Q": params.Q, "D": params.D,
+    }
+    # The run parameters ride along in the row so the exponent override
+    # stays visible in CSV output too.
+    row = dict(
+        meta, S1=result.S1, S2=result.S2, S3=result.S3, S4=result.S4,
+        total=total, lhs=result.lhs, ratio=float(result.lhs / total) if total else None,
+    )
+    return [row], list(row), meta
+
+
+def _theta0(ns):
+    return [{"value": linnik.theta0()}], ["value"], {}
+
+
+def _constant(ns):
+    res = linnik.linnik_constant(ns.tolerance)
+    row = {
+        "tolerance": ns.tolerance, "value": res.value,
+        "prime_bound": res.prime_bound, "tail_bound": res.tail_bound,
+    }
+    return [row], list(row), {"tolerance": ns.tolerance}
+
+
+def _lemma(ns):
+    lemma_id = ns.lemma_id
     if lemma_id == "epq":
-        _require(config, "x", "p", "q")
-        p = config.extra["p"]
-        count, signed = lemmas._epq_scan(p, config.q, _params(config, need_A=False))
-        row = {"p": p, "q": config.q, "E": count, "F": signed}
-        return [row], ["p", "q", "E", "F"], {"lemma": "epq", "x": config.x, "a": config.a}
-    params, inputs = _checker_inputs(config, lemmas.CHECKERS[lemma_id])
+        _require(ns, "x", "p", "q")
+        count, signed = lemmas._epq_scan(ns.p, ns.q, _params(ns, need_A=False))
+        row = {"p": ns.p, "q": ns.q, "E": count, "F": signed}
+        return [row], list(row), {"lemma": "epq", "x": ns.x, "a": ns.a}
+    params, inputs = _checker_inputs(ns, lemmas.CHECKERS[lemma_id])
     rep = lemmas.report(lemma_id, params=params, **inputs)
     columns = ["lemma", *sorted(rep.inputs), "lhs", "envelope", "ratio"]
     row = {"lemma": lemma_id, **rep.inputs}
@@ -152,93 +185,40 @@ def _scan_grid(maximum):
     return grid or [maximum]
 
 
-def _run_scan(config):
-    lemma_id = config.extra["lemma_id"]
+def _scan(ns):
+    lemma_id = ns.lemma_id
     checker = lemmas.CHECKERS[lemma_id]
-    params, inputs = _checker_inputs(config, checker)
-    var = dict(checker.inputs)[checker.scan][2:]
+    params, inputs = _checker_inputs(ns, checker)
+    var = next(flag for name, flag, _type in checker.inputs if name == checker.scan)[2:]
     rows = []
     for point in _scan_grid(inputs[checker.scan]):
         inputs[checker.scan] = point
         rep = lemmas.report(lemma_id, params=params, **inputs)
         rows.append({var: point, "lhs": rep.lhs, "envelope": rep.envelope, "ratio": rep.ratio})
-    params = {"lemma": lemma_id, "points": len(rows)}
-    return rows, [var, "lhs", "envelope", "ratio"], params
+    return rows, [var, "lhs", "envelope", "ratio"], {"lemma": lemma_id, "points": len(rows)}
 
 
-def render(config: RunConfig) -> str:
-    """Execute one command and return its full report text."""
-    cmd = config.command
-    if cmd == "primes":
-        _require(config, "x")
-        rows = [{"p": p} for p in primes_up_to(config.x)]
-        return emit_report(rows, config.output_format, cmd, {"x": config.x}, ["p"])
-    if cmd == "rsum":
-        _require(config, "x")
-        value = linnik.sum_r_shifted_primes(config.x)
-        return emit_report(
-            [{"x": config.x, "value": value}], config.output_format, cmd,
-            {"x": config.x}, ["x", "value"],
-        )
-    if cmd == "discrepancy":
-        _require(config, "x", "q")
-        row = linnik.discrepancy(config.x, config.q, config.a)
-        cols = ["q", "a", "weighted_count", "main_term", "discrepancy"]
-        return emit_report(
-            [{
-                "q": row.q, "a": row.a, "weighted_count": row.weighted_count,
-                "main_term": row.main_term, "discrepancy": row.discrepancy,
-            }],
-            config.output_format, cmd, {"x": config.x}, cols,
-        )
-    if cmd == "bvsum":
-        params = _params(config)
-        value = linnik.bv_sum(params)
-        return emit_report(
-            [{"value": value}], config.output_format, cmd,
-            {"x": params.X, "A": params.A, "a": params.a, "Q": params.Q},
-            ["value"],
-        )
-    if cmd == "decompose":
-        params = _params(config)
-        result = linnik.decompose(params)
-        total = result.total
-        ratio = float(result.lhs / total) if total else None
-        meta = {
-            "x": params.X, "A": params.A, "a": params.a,
-            "override_exponent": params.override_exponent,
-            "Q": params.Q, "D": params.D,
-        }
-        # The run parameters ride along in the row so the exponent override
-        # stays visible in CSV output too.
-        row = dict(meta)
-        row.update(
-            S1=result.S1, S2=result.S2, S3=result.S3, S4=result.S4,
-            total=total, lhs=result.lhs, ratio=ratio,
-        )
-        return emit_report(
-            [row], config.output_format, cmd, meta,
-            list(meta) + ["S1", "S2", "S3", "S4", "total", "lhs", "ratio"],
-        )
-    if cmd == "constant":
-        tol = config.extra["tolerance"]
-        res = linnik.linnik_constant(tol)
-        return emit_report(
-            [{
-                "tolerance": tol, "value": res.value,
-                "prime_bound": res.prime_bound, "tail_bound": res.tail_bound,
-            }],
-            config.output_format, cmd, {"tolerance": tol},
-            ["tolerance", "value", "prime_bound", "tail_bound"],
-        )
-    if cmd == "theta0":
-        return emit_report(
-            [{"value": linnik.theta0()}], config.output_format, cmd, {}, ["value"]
-        )
-    if cmd in ("lemma", "scan"):
-        rows, columns, meta = (_run_lemma if cmd == "lemma" else _run_scan)(config)
-        return emit_report(rows, config.output_format, cmd, meta, columns)
-    raise UsageError(f"unknown command: {cmd}")
+# Each command's function reads the parsed flags and returns (rows, columns,
+# params); the subparsers are built, and listed in usage text, in this order.
+COMMANDS = {
+    "primes": _primes,
+    "rsum": _rsum,
+    "discrepancy": _discrepancy,
+    "bvsum": _bvsum,
+    "decompose": _decompose,
+    "theta0": _theta0,
+    "constant": _constant,
+    "lemma": _lemma,
+    "scan": _scan,
+}
+
+
+def render(ns: argparse.Namespace) -> str:
+    """Execute one parsed command and return its full report text."""
+    if ns.threads < 1:
+        raise UsageError("--threads must be at least 1")
+    rows, columns, params = COMMANDS[ns.command](ns)
+    return emit_report(rows, ns.output_format, ns.command, params, columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,57 +241,29 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", type=int)
     common.add_argument("--y", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("primes", "rsum", "discrepancy", "bvsum", "decompose", "theta0"):
-        sub.add_parser(name, parents=[common])
-    constant = sub.add_parser("constant", parents=[common])
-    constant.add_argument("--tolerance", type=float, default=1e-8)
-    lemma = sub.add_parser("lemma", parents=[common])
-    lemma.add_argument("lemma_id", choices=(*lemmas.CHECKERS, "epq"))
-    scan = sub.add_parser("scan", parents=[common])
-    scan.add_argument(
+    subs = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    subs["constant"].add_argument("--tolerance", type=float, default=1e-8)
+    subs["lemma"].add_argument("lemma_id", choices=(*lemmas.CHECKERS, "epq"))
+    subs["scan"].add_argument(
         "lemma_id", choices=[i for i, c in lemmas.CHECKERS.items() if c.scan]
     )
-    for p in (lemma, scan):
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--u", type=float)
-        p.add_argument("--u-prime", type=float, dest="u_prime")
-        p.add_argument("--which", type=int, choices=(1, 2, 3))
-        p.add_argument("--l-max", type=int, dest="l_max")
+    # The checker flags beyond the common ones, typed by the checker table.
+    flags = {}
+    for checker in lemmas.CHECKERS.values():
+        for name, flag, kind in checker.inputs:
+            if flag not in common._option_string_actions:
+                flags.setdefault(flag, {"type": kind, "choices": checker.choices.get(name)})
+    for p in (subs["lemma"], subs["scan"]):
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
         p.add_argument("--p", type=int)
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    extra = {
-        key: getattr(ns, key)
-        for key in ("lemma_id", "n", "r", "s", "u", "u_prime", "which", "l_max", "p", "tolerance")
-        if hasattr(ns, key)
-    }
-    if ns.threads < 1:
-        raise UsageError("--threads must be at least 1")
-    return RunConfig(
-        command=ns.command,
-        x=ns.x,
-        A=ns.A,
-        a=ns.a,
-        override_exponent=ns.override_exponent,
-        omega=ns.omega,
-        alpha=ns.alpha,
-        q=ns.q,
-        y=ns.y,
-        output_format=ns.output_format,
-        extra=extra,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        config = config_from_args(ns)
-        text = render(config)
+        text = render(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

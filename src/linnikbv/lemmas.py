@@ -166,6 +166,7 @@ def f_progression_sum(y: int, k: int, a: int, params: Params) -> int:
         raise PreconditionError(f"y = {y} exceeds X = {params.X}")
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
+    check_bulk_limit(y)
     start = a % k
     if start == 0:
         start = k
@@ -180,6 +181,7 @@ def estimate_B(params: Params, y: int) -> Fraction:
     """
     if not 2 <= y <= params.X:
         raise PreconditionError(f"estimate_B requires 2 <= y <= X, got y={y}")
+    check_bulk_limit(y)
     return Fraction(sum(f_enveloping(n, params) for n in range(1, y)), y)
 
 
@@ -373,17 +375,19 @@ def f_pq(p: int, q: int, params: Params) -> int:
 class Checker:
     """One lemma checker as report() and the CLI see it.
 
-    inputs pairs each report input name with its CLI flag, in report order.
-    compute(params, **inputs) returns (lhs, envelope).  A default may be a
-    callable of the inputs resolved before it.  scan names the input that a
-    decade scan sweeps, or is None for a checker that is not scanned.
+    inputs lists each report input as (name, CLI flag, flag type), in report
+    order.  compute(params, **inputs) returns (lhs, envelope).  A default may
+    be a callable of the inputs resolved before it.  scan names the input
+    that a decade scan sweeps, or is None for a checker that is not scanned.
+    choices maps an input name to the only values its CLI flag accepts.
     """
 
-    inputs: tuple[tuple[str, str], ...]
+    inputs: tuple[tuple[str, str, type], ...]
     compute: Callable[..., tuple[Real, float]]
     defaults: dict = field(default_factory=dict)
     needs_params: bool = False
     scan: Optional[str] = None
+    choices: dict = field(default_factory=dict)
 
 
 def _hooley1(params, X, omega):
@@ -446,36 +450,40 @@ def _murty(params, X):
 
 CHECKERS: dict[str, Checker] = {
     "hooley1": Checker(
-        (("X", "--x"), ("omega", "--omega")), _hooley1, {"omega": 1.0}, scan="X"
+        (("X", "--x", int), ("omega", "--omega", float)), _hooley1, {"omega": 1.0}, scan="X"
     ),
     "brun_titchmarsh": Checker(
-        (("X", "--x"), ("q", "--q"), ("a", "--a")), _brun_titchmarsh
+        (("X", "--x", int), ("q", "--q", int), ("a", "--a", int)), _brun_titchmarsh
     ),
-    "count_n": Checker((("n", "--n"), ("r", "--r")), _count_n),
+    "count_n": Checker((("n", "--n", int), ("r", "--r", int)), _count_n),
     "f_progression": Checker(
-        (("y", "--y"), ("k", "--q"), ("a", "--a")), _f_progression, needs_params=True
+        (("y", "--y", int), ("k", "--q", int), ("a", "--a", int)), _f_progression,
+        needs_params=True,
     ),
-    "estimate_b": Checker((("y", "--y"),), _estimate_b, needs_params=True),
+    "estimate_b": Checker((("y", "--y", int),), _estimate_b, needs_params=True),
     "omega_power": Checker(
-        (("y", "--y"), ("alpha", "--alpha")), _omega_power, scan="y"
+        (("y", "--y", int), ("alpha", "--alpha", float)), _omega_power, scan="y"
     ),
     "hooley13": Checker(
-        (("y", "--y"), ("alpha", "--alpha"), ("omega", "--omega")),
+        (("y", "--y", int), ("alpha", "--alpha", float), ("omega", "--omega", float)),
         _hooley13, {"omega": 1.0}, scan="y",
     ),
     "hooley13q": Checker(
-        (("y", "--y"), ("alpha", "--alpha"), ("q", "--q")), _hooley13q, scan="y"
+        (("y", "--y", int), ("alpha", "--alpha", float), ("q", "--q", int)), _hooley13q,
+        scan="y",
     ),
     "hooley14": Checker(
-        (("r", "--r"), ("s", "--s"), ("n", "--n"), ("y", "--y"), ("L", "--l-max")),
+        (("r", "--r", int), ("s", "--s", int), ("n", "--n", int), ("y", "--y", int),
+         ("L", "--l-max", int)),
         _hooley14, needs_params=True,
     ),
     "hooley15": Checker(
-        (("u", "--u"), ("u_prime", "--u-prime"), ("omega", "--omega"),
-         ("n", "--n"), ("which", "--which")),
+        (("u", "--u", float), ("u_prime", "--u-prime", float), ("omega", "--omega", float),
+         ("n", "--n", int), ("which", "--which", int)),
         _hooley15, {"u_prime": lambda done: done["u"], "omega": 1.0}, needs_params=True,
+        choices={"which": (1, 2, 3)},
     ),
-    "murty": Checker((("X", "--x"),), _murty, scan="X"),
+    "murty": Checker((("X", "--x", int),), _murty, scan="X"),
 }
 
 
@@ -487,7 +495,7 @@ def report(lemma_id: str, params: Optional[Params] = None, **inputs) -> LemmaRep
     checker = CHECKERS.get(lemma_id)
     if checker is None:
         raise PreconditionError(f"unknown lemma id: {lemma_id}")
-    names = [name for name, _flag in checker.inputs]
+    names = [name for name, _flag, _type in checker.inputs]
     unknown = sorted(set(inputs) - set(names))
     if unknown:
         raise PreconditionError(f"{lemma_id} has no input {', '.join(unknown)}")

@@ -18,6 +18,7 @@ from . import arith
 from .errors import PreconditionError
 from .sieve import (
     Params,
+    check_bulk_limit,
     chi_divisor_sums,
     chi_range_sums,
     iter_prime_segments,
@@ -206,11 +207,15 @@ def decompose(params: Params) -> DecompositionResult:
         )
     X, a = params.X, params.a
     moduli = _moduli(params)
-    low, mid, high = chi_range_sums(X, params.D)
+    check_bulk_limit(X)
     primes = prime_array(X)
-    vl = low[primes - 1].astype(np.int64)
-    vm = mid[primes - 1].astype(np.int64)
-    vh = high[primes - 1].astype(np.int64)
+    # Each whole-range window is gathered at p - 1 and dropped before the
+    # next one is built, so at most one is alive at a time.
+    gathered = []
+    for window in chi_range_sums(X, params.D):
+        gathered.append(window[primes - 1].astype(np.int64))
+        del window
+    vl, vm, vh = gathered
     vr = chi_divisor_sums(X)[primes - 1]
     t_low = int(vl.sum())
     t_high = int(vh.sum())

@@ -13,8 +13,9 @@ BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
 kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
 allocated at import.  The chi-divisor window arrays behind chi_range_sums
 and the hooley1 checker are whole-range int32 arrays under the same cap,
-like the returned tables.  The squarefree-prime product P is never formed;
-only its prime support below the smoothness bound Y is stored.
+like the returned tables; chi_range_sums builds its three windows one at a
+time, as its caller asks for each.  The squarefree-prime product P is never
+formed; only its prime support below the smoothness bound Y is stored.
 """
 
 from __future__ import annotations
@@ -404,23 +405,22 @@ def _chi_divisor_window(limit: int, first: int, last: int) -> np.ndarray:
     return w
 
 
-def chi_range_sums(limit: int, D: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chi_range_sums(limit: int, D: float) -> Iterator[np.ndarray]:
     """Per-n chi sums over divisors split at D and limit/D.
 
-    Returns (low, mid, high) with low[n] summing chi(d) over d | n, d <= D,
-    mid over D < d < limit/D, and high over d >= limit/D.  For an integer
-    d these are the windows [1, floor(D)], [floor(D) + 1, ceil(limit/D) - 1]
-    and [ceil(limit/D), limit], so each inequality keeps its meaning; when
-    D >= limit/D the mid window is empty and low and high overlap.
+    Yields low, mid and high in turn, each built only when asked for, with
+    low[n] summing chi(d) over d | n, d <= D, mid over D < d < limit/D, and
+    high over d >= limit/D.  For an integer d these are the windows
+    [1, floor(D)], [floor(D) + 1, ceil(limit/D) - 1] and [ceil(limit/D),
+    limit], so each inequality keeps its meaning; when D >= limit/D the mid
+    window is empty and low and high overlap.
     """
     upper = limit / D
     cut = math.floor(D)
     top = math.ceil(upper) if upper < math.inf else limit + 1
-    return (
-        _chi_divisor_window(limit, 1, cut),
-        _chi_divisor_window(limit, cut + 1, top - 1),
-        _chi_divisor_window(limit, top, limit),
-    )
+    yield _chi_divisor_window(limit, 1, cut)
+    yield _chi_divisor_window(limit, cut + 1, top - 1)
+    yield _chi_divisor_window(limit, top, limit)
 
 
 def _phi_local(view, p, e):

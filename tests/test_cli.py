@@ -262,6 +262,11 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
             "lemma hooley14 --x 1000000 --r 1 --s 1 --n 1 --y 10 --l-max 100000000000",
             "bulk cap",
         ),
+        ("lemma f_progression --x 100000000000 --y 100000000000 --q 3", "bulk cap"),
+        ("lemma estimate_b --x 100000000000 --y 100000000000", "bulk cap"),
+        # decompose gathers its windows lazily, so it checks X before sieving.
+        ("decompose --x 100000000000 --A 1 --override-exponent 2", "bulk cap"),
+        ("primes --x 100000000000", "bulk cap"),
     ],
 )
 def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):
@@ -375,10 +380,14 @@ def test_every_scan_id_runs(capsys, lemma_id):
     )
 
 
-def _lemma_id_choices(command):
+def _subparser(command):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    action = next(a for a in sub.choices[command]._actions if a.dest == "lemma_id")
+    return sub.choices[command]
+
+
+def _lemma_id_choices(command):
+    action = next(a for a in _subparser(command)._actions if a.dest == "lemma_id")
     return list(action.choices)
 
 
@@ -386,3 +395,37 @@ def test_lemma_and_scan_choices_come_from_the_checker_table():
     assert _lemma_id_choices("lemma") == [*lemmas.CHECKERS, "epq"]
     assert _lemma_id_choices("scan") == [i for i, c in lemmas.CHECKERS.items() if c.scan]
     assert sorted(LEMMA_SMOKE_ARGS) == sorted(_lemma_id_choices("lemma"))
+
+
+def _option_strings(command):
+    return {s for a in _subparser(command)._actions for s in a.option_strings}
+
+
+TABLE_FLAGS = sorted(
+    {(flag, kind) for c in lemmas.CHECKERS.values() for _, flag, kind in c.inputs}
+)
+
+
+@pytest.mark.parametrize("command", ["lemma", "scan"])
+@pytest.mark.parametrize("flag, kind", TABLE_FLAGS, ids=[flag for flag, _ in TABLE_FLAGS])
+def test_checker_flag_parses_to_its_table_type(command, flag, kind):
+    # 3 is also a valid --which choice.
+    ns = cli.build_parser().parse_args([command, "murty", flag, "3"])
+    value = getattr(ns, flag[2:].replace("-", "_"))
+    assert type(value) is kind and value == 3
+
+
+@pytest.mark.parametrize("command", ["lemma", "scan"])
+def test_only_p_is_declared_beside_the_checker_table(command):
+    table = {flag for flag, _ in TABLE_FLAGS}
+    common = _option_strings("primes")
+    own = _option_strings(command)
+    assert own - common - table == {"--p"}
+    assert table <= own
+
+
+def test_which_outside_its_choices_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lemma", "hooley15", "--x", "1000", "--u", "5", "--n", "6", "--which", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

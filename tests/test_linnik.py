@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -254,3 +255,19 @@ def test_decompose_second_oracle_point():
     result = linnik.decompose(params)
     expected = oracles.decompose_direct(10**4, 1.2, 5, 1.5)
     assert (result.S1, result.S2, result.S3, result.S4) == expected
+
+
+def test_decompose_holds_one_window_at_a_time():
+    X = 1 << 20
+    params = Params(X, 1.0, 1, override_exponent=2)
+    # Cached tables are built first, so only decompose's own arrays count.
+    sieve.chi_divisor_sums(X)
+    sieve.prime_array(X)
+    tracemalloc.start()
+    try:
+        linnik.decompose(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window_bytes = 4 * (X + 1)  # one int32 window over 0..X
+    assert peak < 2 * window_bytes

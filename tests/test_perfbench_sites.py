@@ -1,7 +1,9 @@
-"""The benchmark tracer's lookup sites still name functions of the program.
+"""The benchmark's tracer sites and command lines still fit the program.
 
 perfbench/tracer.py wraps each (module, attribute) site in TARGETS; a site
 that no longer resolves drops its per-layer metrics from a traced run.
+perfbench/workloads.py pins the CLI argv of every benchmark command; one
+the parser rejects fails every pass of its workload.
 """
 
 import importlib
@@ -10,21 +12,35 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from linnikbv import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Retired with the SPF disk cache; the tracer lists it as missing.
 RETIRED = {("lemmas", "factor_table_cached")}
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("site", _targets(), ids=lambda site: ".".join(site))
+@pytest.mark.parametrize("site", _load("tracer").TARGETS, ids=lambda site: ".".join(site))
 def test_tracer_lookup_site_is_callable(site):
     module, attr = site
     found = getattr(importlib.import_module(f"linnikbv.{module}"), attr, None)
     assert callable(found) or site in RETIRED
+
+
+WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize(
+    "line", [line for lines in WORKLOADS.WORKLOADS.values() for line in lines]
+)
+def test_workload_argv_parses(line):
+    parser = cli.build_parser()
+    for a in WORKLOADS.A_CHOICES:
+        parser.parse_args(line.format(a=a).split())
