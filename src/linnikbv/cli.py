@@ -26,52 +26,46 @@ class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
 
 
-def _num(value):
-    """Report cells: ints stay ints, rationals become floats, text passes through."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return float(value)
-
-
 def _json_scalar(value) -> str:
+    """A report cell as JSON: ints stay ints, rationals become 17-digit floats."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return json.dumps(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    return format(float(value), ".17g")
 
 
 def _csv_cell(value) -> str:
+    """A report cell as CSV text, rationals as 17-digit floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return value if isinstance(value, str) else str(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(float(value), ".17g")
 
 
 def emit_report(rows, fmt, command, params, columns) -> str:
-    """Render rows as a complete CSV or JSON report string."""
-    rows = [{k: _num(r[k]) for k in columns} for r in rows]
-    if fmt == "json":
-        parts = [f'"command": {json.dumps(command)}']
-        p_items = ", ".join(
-            f"{json.dumps(k)}: {_json_scalar(_num(v))}" for k, v in params.items()
-        )
-        parts.append(f'"params": {{{p_items}}}')
-        row_strs = []
-        for r in rows:
-            row_strs.append(
-                "{" + ", ".join(f"{json.dumps(k)}: {_json_scalar(r[k])}" for k in columns) + "}"
-            )
-        parts.append(f'"rows": [{", ".join(row_strs)}]')
-        return "{" + ", ".join(parts) + "}\n"
+    """Render rows, mappings read once and converted as written, as a CSV or JSON string."""
     buf = io.StringIO()
+    if fmt == "json":
+        p_items = ", ".join(
+            f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in params.items()
+        )
+        buf.write(f'{{"command": {json.dumps(command)}, "params": {{{p_items}}}, "rows": [')
+        heads = [f"{json.dumps(k)}: " for k in columns]
+        sep = ""
+        for r in rows:
+            cells = ", ".join(h + _json_scalar(r[k]) for h, k in zip(heads, columns))
+            buf.write(f"{sep}{{{cells}}}")
+            sep = ", "
+        buf.write("]}\n")
+        return buf.getvalue()
     writer = csv.writer(buf)
     writer.writerow(columns)
     for r in rows:
@@ -105,7 +99,7 @@ def _checker_inputs(ns, checker):
 def _primes(ns):
     _require(ns, "x")
     check_bulk_limit(ns.x)
-    return [{"p": p} for p in primes_up_to(ns.x)], ["p"], {"x": ns.x}
+    return ({"p": p} for p in primes_up_to(ns.x)), ["p"], {"x": ns.x}
 
 
 def _rsum(ns):

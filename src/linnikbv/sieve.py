@@ -5,7 +5,8 @@ per-integer functions built on them: the two-squares representation count
 r(n), the rough-number indicator h, and the enveloping-sieve value f.
 Bulk tables are numpy arrays; per-n evaluators return plain Python ints.
 
-Memory policy: SPF tables are built one segment at a time and a single
+Memory policy: primes stream in odd-only segments of 2**22 numbers, each a
+2**21-byte mask, and SPF tables are built one segment at a time and a single
 table never exceeds the segment budget (default 2**22 entries).  The bulk
 chi-divisor-sum, totient and Omega tables come from one prime-power kernel:
 only the returned table spans the whole range 0..limit (limit at most
@@ -52,41 +53,48 @@ def _check_segment_length(segment_length: int) -> int:
     return segment_length
 
 
-def _simple_prime_array(limit: int) -> np.ndarray:
-    """Primes <= limit by a one-shot sieve; used for base primes only."""
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
+
+    The mask holds the odd numbers only; each odd base prime strikes its odd
+    multiples from max(p^2, lo), and 2 is added when the segment starts at 2.
+    """
+    first = lo | 1
+    mask = np.ones((hi - first + 1) // 2, dtype=bool)
+    for p in base[1:].tolist():
+        start = max(p * p, ((first + p - 1) // p | 1) * p)
+        mask[(start - first) // 2 :: p] = False
+    primes = np.flatnonzero(mask)
+    primes *= 2
+    primes += first
+    return np.insert(primes, 0, 2) if lo == 2 else primes
+
+
+def _base_primes(limit: int) -> np.ndarray:
+    """Primes <= limit as one segment, its own base primes found the same way."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).astype(np.int64)
+    return _sieve_segment(2, limit + 1, _base_primes(isqrt(limit)))
 
 
 def iter_prime_segments(
     limit: int, segment_length: Optional[int] = None
 ) -> Iterator[np.ndarray]:
-    """Yield ascending numpy arrays that together hold all primes <= limit."""
+    """Yield ascending int64 arrays that together hold all primes <= limit.
+
+    First the primes <= sqrt(limit), then each nonempty segment from
+    sqrt(limit) + 1 on; linnik_constant's float bytes depend on this split.
+    """
     segment_length = _check_segment_length(segment_length)
     if limit < 2:
         return
     root = isqrt(limit)
-    base = _simple_prime_array(root)
-    yield base[base <= limit]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_length, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start < hi:
-                mask[start - lo :: p] = False
-        seg = lo + np.flatnonzero(mask)
+    base = _base_primes(root)
+    yield base
+    for lo in range(root + 1, limit + 1, segment_length):
+        seg = _sieve_segment(lo, min(lo + segment_length, limit + 1), base)
         if seg.size:
-            yield seg.astype(np.int64)
-        lo = hi
+            yield seg
 
 
 def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
@@ -95,7 +103,7 @@ def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
         raise PreconditionError(f"primes_up_to requires limit >= 0, got {limit}")
     out: list[int] = []
     for seg in iter_prime_segments(limit, segment_length):
-        out.extend(int(p) for p in seg)
+        out.extend(seg.tolist())
     return out
 
 
@@ -135,12 +143,8 @@ def factor_table(
     if hi > 1 << 32:
         raise ConfigurationError("SPF entries are 32-bit; hi must not exceed 2**32")
     spf = np.zeros(hi - lo, dtype=np.uint32)
-    for p in _simple_prime_array(isqrt(hi - 1)):
-        p = int(p)
-        start = max(p * p, (lo + p - 1) // p * p)
-        if start >= hi:
-            continue
-        view = spf[start - lo :: p]
+    for p in _base_primes(isqrt(hi - 1)).tolist():
+        view = spf[max(p * p, (lo + p - 1) // p * p) - lo :: p]
         view[view == 0] = p
     # Untouched entries are primes, plus the unit 1 which is its own sentinel.
     left = np.flatnonzero(spf == 0)
@@ -328,7 +332,7 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
     """
     out = np.full(limit + 1, identity, dtype=dtype)
     out[0] = 0
-    base = [int(p) for p in _simple_prime_array(isqrt(limit))]
+    base = _base_primes(isqrt(limit)).tolist()
     ones = np.ones(TABLE_SEGMENT_LENGTH, dtype=np.int32)
     for lo in range(1, limit + 1, TABLE_SEGMENT_LENGTH):
         hi = min(lo + TABLE_SEGMENT_LENGTH, limit + 1)

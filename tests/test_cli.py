@@ -111,6 +111,18 @@ def test_json_17_significant_digits():
     assert json.loads(text)["rows"][0]["value"] == 2 / 3
 
 
+def test_emit_report_reads_rows_once_and_pins_cells():
+    rows = [{"n": 3, "r": Fraction(1, 3), "f": 0.5, "ok": True, "none": None, "s": "a"}]
+    columns = list(rows[0])
+    assert emit_report(iter(rows), "json", "demo", {"r": Fraction(2, 3)}, columns) == (
+        '{"command": "demo", "params": {"r": 0.66666666666666663}, "rows": [{"n": 3, '
+        '"r": 0.33333333333333331, "f": 0.5, "ok": true, "none": null, "s": "a"}]}\n'
+    )
+    assert emit_report(iter(rows), "csv", "demo", {}, columns) == (
+        "n,r,f,ok,none,s\r\n3,0.33333333333333331,0.5,true,,a\r\n"
+    )
+
+
 def test_csv_quoting_is_rfc4180():
     rows = [{"name": 'a,"b"', "v": 1}]
     text = emit_report(rows, "csv", "demo", {}, ["name", "v"])

@@ -75,6 +75,16 @@ def test_linnik_constant_six_decimals():
     v8 = linnik.linnik_constant(1e-8).value
     v9 = linnik.linnik_constant(1e-9).value
     assert round(v8, 6) == round(v9, 6) == 2.674032
+    # Exact floats: linnik_constant multiplies per prime segment, so these
+    # also pin the segment boundaries.
+    assert v8 == 2.67403201741816
+    assert v9 == 2.674032017144351
+
+
+def test_linnik_constant_exact_floats():
+    # Exact floats, pinned like the 1e-8 and 1e-9 values above.
+    assert linnik.linnik_constant(1e-6).value == 2.6740320174536163
+    assert linnik.linnik_constant(1e-7).value == 2.6740320175588885
 
 
 def test_discrepancy_trivial_modulus():

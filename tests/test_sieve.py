@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 from math import isqrt
 
 import numpy as np
@@ -38,6 +39,42 @@ def test_primes_segmentation_irrelevant():
     expected = sieve.primes_up_to(10**4)
     for seg in (64, 1000, 10**6):
         assert sieve.primes_up_to(10**4, segment_length=seg) == expected
+
+
+def _expected_segments(limit, length):
+    """bytearray_sieve split as iter_prime_segments splits it: [2, sqrt(limit)], then steps of length."""
+    if limit < 2:
+        return []
+    primes = bytearray_sieve(limit)
+    root = isqrt(limit)
+    segments = [primes[: bisect_right(primes, root)]]
+    for lo in range(root + 1, limit + 1, length):
+        seg = primes[bisect_left(primes, lo) : bisect_left(primes, lo + length)]
+        if seg:
+            segments.append(seg)
+    return segments
+
+
+def _assert_segment_shape(limit, length=None):
+    got = list(sieve.iter_prime_segments(limit, length))
+    expected = _expected_segments(limit, length or sieve.DEFAULT_SEGMENT_LENGTH)
+    assert len(got) == len(expected), (limit, length)
+    for arr, seg in zip(got, expected):
+        assert arr.dtype == np.int64
+        assert arr.tolist() == seg, (limit, length)
+
+
+def test_prime_segment_shape_pinned():
+    # linnik_constant multiplies per segment, so its float bytes depend on
+    # exactly these boundaries.
+    for limit in range(401):
+        for length in (1, 2, 7, 64):
+            _assert_segment_shape(limit, length)
+    for p in (2, 3, 5, 31, 97):
+        for limit in (p * p - 1, p * p, p * p + 1):
+            for length in (7, None):
+                _assert_segment_shape(limit, length)
+    _assert_segment_shape(10**6 + 7)
 
 
 def test_zero_segment_length_rejected():
