@@ -19,7 +19,7 @@ import sys
 
 from . import lemmas, linnik
 from .errors import ConfigurationError, PreconditionError
-from .sieve import Params, check_bulk_limit, primes_up_to
+from .sieve import Params, check_bulk_limit, iter_prime_segments
 
 
 class UsageError(Exception):
@@ -99,7 +99,8 @@ def _checker_inputs(ns, checker):
 def _primes(ns):
     _require(ns, "x")
     check_bulk_limit(ns.x)
-    return ({"p": p} for p in primes_up_to(ns.x)), ["p"], {"x": ns.x}
+    rows = ({"p": p} for seg in iter_prime_segments(ns.x) for p in seg.tolist())
+    return rows, ["p"], {"x": ns.x}
 
 
 def _rsum(ns):

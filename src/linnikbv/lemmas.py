@@ -42,10 +42,6 @@ Real = Union[int, float, Fraction]
 
 EXACT_SUM_TERM_LIMIT = 20_000
 
-# Largest X that brun_titchmarsh_check streams primes up to: X = 10**8 takes
-# about a second, and far larger ranges would sieve for minutes.
-BRUN_TITCHMARSH_LIMIT = 1 << 30
-
 # Denominator cap below which an alpha passed as float is treated as the
 # exact rational it represents (covers 1/2 .. 7/4 in quarter steps).
 EXACT_ALPHA_DENOMINATOR = 64
@@ -134,12 +130,7 @@ def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
         raise PreconditionError(f"brun_titchmarsh_check requires 1 <= q < X, got q={q}, X={X}")
     if gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    if X > BRUN_TITCHMARSH_LIMIT:
-        raise PreconditionError(
-            f"X = {X} exceeds the streaming limit {BRUN_TITCHMARSH_LIMIT} of "
-            "brun_titchmarsh_check; lower X"
-        )
-    # Counted segment by segment, so memory stays O(segment) at any X.
+    # Counted segment by segment, so memory stays O(segment) up to the streaming limit.
     count = sum(int(np.count_nonzero(seg % q == a % q)) for seg in iter_prime_segments(X))
     bound = 2.0 * X / (arith.euler_phi(q) * math.log(2.0 * X / q))
     return BrunTitchmarshResult(count, bound, count < bound)

@@ -87,10 +87,14 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
 
     B is the least bound making the comparison tail sum over all integers,
     1/B, no larger than the requested tolerance; that bound dominates the
-    prime tail of the log of the product.
+    prime tail of the log of the product.  A B above the streaming limit
+    of the prime sieve (a tolerance below about 1e-9) is a precondition
+    error, raised before any sieving.
     """
-    if not 0 < tolerance < math.inf:
-        raise PreconditionError(f"tolerance must be positive and finite, got {tolerance}")
+    if not 0 < tolerance < math.inf or 1.0 / tolerance == math.inf:
+        raise PreconditionError(
+            f"tolerance and its reciprocal must be positive and finite, got {tolerance}"
+        )
     bound = max(3, math.ceil(1.0 / tolerance))
     acc = 1.0
     for seg in iter_prime_segments(bound):
@@ -144,26 +148,28 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
 
 
-def bv_sum(params: Params) -> Fraction:
-    """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|.
+def _gap_sum(col: np.ndarray, a: int, moduli: list[int]) -> Fraction:
+    """Exact sum over the moduli q of |col[a % q :: q].sum() - col.sum()/phi(q)|.
 
-    The prime weights are laid out once by n (see _prime_weights); each
-    modulus reads its residue class as one strided sum, so the whole
-    average costs about X log Q reads instead of a mask over every prime
-    per modulus.  The terms are grouped by phi = phi(q):
-    |W_q - T/phi| = |W_q phi - T| / phi, so each group adds integers and
-    one Fraction is built per distinct phi; the sum stays exact.
+    col is laid out by p, as _prime_weights lays out r/4, so each residue
+    class a mod q is one strided sum and the whole average costs about
+    X log Q reads.  |W_q - T/phi| = |W_q phi - T| / phi, so the integer
+    gaps are added within each distinct phi = phi(q) and one Fraction is
+    built per group.
     """
-    moduli = _moduli(params)
-    w = _prime_weights(params.X)
-    total = 4 * int(w.sum())
-    a = params.a
+    total = int(col.sum())
     groups: dict[int, int] = {}
     for q in moduli:
         phi = arith.euler_phi(q)
-        gap = abs(4 * int(w[a % q :: q].sum()) * phi - total)
+        gap = abs(int(col[a % q :: q].sum()) * phi - total)
         groups[phi] = groups.get(phi, 0) + gap
     return sum((Fraction(gap, phi) for phi, gap in groups.items()), Fraction(0))
+
+
+def bv_sum(params: Params) -> Fraction:
+    """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|, exactly."""
+    moduli = _moduli(params)
+    return 4 * _gap_sum(_prime_weights(params.X), params.a, moduli)
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -191,14 +197,24 @@ def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
     return low, mid, high
 
 
+def _relabel_by_prime(window: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Move window[p - 1] to window[p] at each prime p and zero the rest, in place."""
+    at_p = window[primes - 1]
+    window[:] = 0
+    window[primes] = at_p
+    return window
+
+
 def decompose(params: Params) -> DecompositionResult:
-    """The four divisor-range sums S1..S4 by direct summation, plus the lhs.
+    """The four divisor-range sums S1..S4 from strided class sums, plus the lhs.
 
     S1 and S2 compare progression-restricted inner sums with their
     1/phi(q)-scaled totals over the low (d <= D) and high (d >= X/D)
     divisor ranges; S3 carries 1/phi(q) outside an absolute value taken
     per prime over the middle range; S4 is the progression-restricted
-    middle-range sum with no main term subtracted.
+    middle-range sum with no main term subtracted.  Each chi window is
+    relabelled by p in place and read like the prime weights, one window
+    at a time; the lhs is bv_sum.
     """
     if params.D < 2:
         raise PreconditionError(
@@ -209,29 +225,14 @@ def decompose(params: Params) -> DecompositionResult:
     moduli = _moduli(params)
     check_bulk_limit(X)
     primes = prime_array(X)
-    # Each whole-range window is gathered at p - 1 and dropped before the
-    # next one is built, so at most one is alive at a time.
-    gathered = []
-    for window in chi_range_sums(X, params.D):
-        gathered.append(window[primes - 1].astype(np.int64))
-        del window
-    vl, vm, vh = gathered
-    vr = chi_divisor_sums(X)[primes - 1]
-    t_low = int(vl.sum())
-    t_high = int(vh.sum())
-    t_mid_abs = int(np.abs(vm).sum())
-    t_r = 4 * int(vr.sum())
-
-    def terms(q):
-        phi = arith.euler_phi(q)
-        mask = primes % q == a % q
-        s1 = abs(Fraction(int(vl[mask].sum())) - Fraction(t_low, phi))
-        s2 = abs(Fraction(int(vh[mask].sum())) - Fraction(t_high, phi))
-        s3 = Fraction(t_mid_abs, phi)
-        s4 = abs(int(vm[mask].sum()))
-        lhs_q = abs(Fraction(4 * int(vr[mask].sum())) - Fraction(t_r, phi))
-        return s1, s2, s3, s4, lhs_q
-
-    parts = [terms(q) for q in moduli]
-    S = [sum(col, Fraction(0)) for col in zip(*parts)] if parts else [Fraction(0)] * 5
-    return DecompositionResult(S[0], S[1], S[2], S[3], S[4], params)
+    # Each window is a bare next() result, so none outlives its own sums,
+    # and the chi table behind the lhs is built only once they are gone.
+    windows = chi_range_sums(X, params.D)
+    S1 = _gap_sum(_relabel_by_prime(next(windows), primes), a, moduli)
+    mid = _relabel_by_prime(next(windows), primes)
+    S4 = Fraction(sum(abs(int(mid[a % q :: q].sum())) for q in moduli))
+    mid_abs = int(np.abs(mid, out=mid).sum())
+    del mid
+    S3 = sum((Fraction(mid_abs, arith.euler_phi(q)) for q in moduli), Fraction(0))
+    S2 = _gap_sum(_relabel_by_prime(next(windows), primes), a, moduli)
+    return DecompositionResult(S1, S2, S3, S4, bv_sum(params), params)

@@ -17,6 +17,7 @@ and the hooley1 checker are whole-range int32 arrays under the same cap,
 like the returned tables; chi_range_sums builds its three windows one at a
 time, as its caller asks for each.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
+No prime stream goes past STREAM_LIMIT = 2**30.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ BULK_TABLE_LIMIT = 1 << 24
 # Entries per segment of the prime-power kernel behind those tables; its
 # 32-bit working arrays are at most this long.
 TABLE_SEGMENT_LENGTH = 1 << 16
+
+# Largest limit any prime stream sieves to: 10**8 takes about a second,
+# and far larger limits would sieve for minutes.
+STREAM_LIMIT = 1 << 30
 
 
 def _check_segment_length(segment_length: int) -> int:
@@ -84,8 +89,12 @@ def iter_prime_segments(
 
     First the primes <= sqrt(limit), then each nonempty segment from
     sqrt(limit) + 1 on; linnik_constant's float bytes depend on this split.
+    A limit below 0 or above STREAM_LIMIT is a precondition error, raised
+    before any sieving.
     """
     segment_length = _check_segment_length(segment_length)
+    if not 0 <= limit <= STREAM_LIMIT:
+        raise PreconditionError(f"limit {limit} is outside 0..{STREAM_LIMIT}, the streaming limit")
     if limit < 2:
         return
     root = isqrt(limit)
@@ -99,12 +108,7 @@ def iter_prime_segments(
 
 def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
     """Exactly the primes <= limit, ascending."""
-    if limit < 0:
-        raise PreconditionError(f"primes_up_to requires limit >= 0, got {limit}")
-    out: list[int] = []
-    for seg in iter_prime_segments(limit, segment_length):
-        out.extend(seg.tolist())
-    return out
+    return [p for seg in iter_prime_segments(limit, segment_length) for p in seg.tolist()]
 
 
 @lru_cache(maxsize=8)

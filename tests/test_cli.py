@@ -239,6 +239,9 @@ def test_zero_value_is_not_replaced_by_default(capsys, argv):
         "lemma hooley15 --x 1000 --u 20 --n 12 --which 2 --omega inf",
         "lemma hooley15 --x 1000 --u 20 --n 12 --which 1 --omega 1e308",
         "constant --tolerance inf",
+        # Positive, but 1/tolerance overflows a float.
+        "constant --tolerance 5e-324",
+        "constant --tolerance 1e-320",
     ],
 )
 def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
@@ -279,6 +282,10 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         # decompose gathers its windows lazily, so it checks X before sieving.
         ("decompose --x 100000000000 --A 1 --override-exponent 2", "bulk cap"),
         ("primes --x 100000000000", "bulk cap"),
+        # Every prime stream checks its limit against 0..2^30 before it sieves.
+        ("primes --x -5", "streaming limit"),
+        ("constant --tolerance 1e-10", "streaming limit"),
+        ("constant --tolerance 1e-300", "streaming limit"),
     ],
 )
 def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):

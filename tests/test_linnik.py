@@ -259,11 +259,21 @@ def test_decompose_components_nonnegative_and_lhs_consistent():
     assert result.total == result.S1 + result.S2 + result.S3 + result.S4
 
 
-def test_decompose_second_oracle_point():
-    # Different residue, nonintegral D, and a modulus range above 1.
-    params = Params(10**4, 1.2, 5, override_exponent=1.5)
+@pytest.mark.parametrize(
+    "X, A, a, exponent",
+    [
+        # Different residue, nonintegral D, and a modulus range above 1.
+        (10**4, 1.2, 5, 1.5),
+        # About 85 moduli, a residue above X, so a % q != a.
+        (10**4, 2.0, 10007, 1.5),
+        # An even residue: only odd moduli, and a % q != a at q = 1 and 3.
+        (10**4, 1.5, 4, 1.0),
+    ],
+)
+def test_decompose_second_oracle_point(X, A, a, exponent):
+    params = Params(X, A, a, override_exponent=exponent)
     result = linnik.decompose(params)
-    expected = oracles.decompose_direct(10**4, 1.2, 5, 1.5)
+    expected = oracles.decompose_direct(X, A, a, exponent)
     assert (result.S1, result.S2, result.S3, result.S4) == expected
 
 
@@ -280,4 +290,5 @@ def test_decompose_holds_one_window_at_a_time():
     finally:
         tracemalloc.stop()
     window_bytes = 4 * (X + 1)  # one int32 window over 0..X
-    assert peak < 2 * window_bytes
+    # One window relabelled in place, plus its values at the primes.
+    assert peak < 1.4 * window_bytes
