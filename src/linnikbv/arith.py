@@ -15,9 +15,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, brief_int
 
 Real = Union[int, float, Fraction]
+
+# Largest n trial division takes: its sqrt(n) steps stay near 2**20.
+TRIAL_DIVISION_LIMIT = 1 << 40
 
 
 class Residue(NamedTuple):
@@ -38,8 +41,8 @@ def chi(n: int) -> int:
 
 def factorize_trial(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] by trial division, primes ascending."""
-    if n < 1:
-        raise PreconditionError(f"factorize_trial requires n >= 1, got {n}")
+    if not 1 <= n <= TRIAL_DIVISION_LIMIT:
+        raise PreconditionError(f"factorize_trial requires 1 <= n <= 2**40, got {brief_int(n)}")
     out = []
     for d in (2, 3):
         e = 0
@@ -64,8 +67,8 @@ def factorize_trial(n: int) -> list[tuple[int, int]]:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending, found by scanning d <= sqrt(n)."""
-    if n < 1:
-        raise PreconditionError(f"divisors requires n >= 1, got {n}")
+    if not 1 <= n <= TRIAL_DIVISION_LIMIT:
+        raise PreconditionError(f"divisors requires 1 <= n <= 2**40, got {brief_int(n)}")
     small = []
     large = []
     for d in range(1, isqrt(n) + 1):

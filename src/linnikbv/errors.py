@@ -7,3 +7,8 @@ class PreconditionError(ValueError):
 
 class ConfigurationError(ValueError):
     """Invalid engine configuration, e.g. a zero segment length."""
+
+
+def brief_int(n: int) -> str:
+    """n in decimal below 2**64 in size, else ~2^k: short and safe at any size."""
+    return str(n) if abs(n) < 1 << 64 else f"{'-' * (n < 0)}~2^{abs(n).bit_length() - 1}"

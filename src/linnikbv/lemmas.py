@@ -32,6 +32,7 @@ from .sieve import (
     check_bulk_limit,
     f_enveloping,
     iter_prime_segments,
+    odd_part,
     omega_table,
     prime_array,
     totient_table,
@@ -112,16 +113,16 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
     both sides, so the integer d run from floor(lo) + 1 to ceil(hi) - 1.
-    Exact integer.
+    It is read at odd_part(p - 1), as chi(d) = 0 at even d.  Exact.
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
+    check_bulk_limit(X - 1)  # every p - 1 is at most X - 1
     shrink, stretch = _log_powers(X, omega)
     lo = math.sqrt(X) * shrink
     hi = math.sqrt(X) * stretch
-    # Every p - 1 is at most X - 1; the window build enforces the bulk cap.
-    win = _chi_divisor_window(X - 1, math.floor(lo) + 1, math.ceil(hi) - 1)
-    return int(np.abs(win[prime_array(X) - 1]).sum())
+    win = _chi_divisor_window((X - 1) // 2, math.floor(lo) + 1, math.ceil(hi) - 1)
+    return int(np.abs(win[odd_part(prime_array(X) - 1)]).sum())
 
 
 def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:

@@ -22,6 +22,7 @@ from .sieve import (
     chi_divisor_sums,
     chi_range_sums,
     iter_prime_segments,
+    odd_part,
     prime_array,
 )
 
@@ -126,16 +127,17 @@ def _prime_weights(X: int) -> np.ndarray:
 
     The residue-class sum over p = a (q), p <= X, is then the strided sum
     w[a % q :: q].sum().  r/4 is at most 48 below the bulk cap, so it fits
-    a byte.  Filled chunk by chunk so that no index or value temporary
-    spans all the primes.  The chi table comes first: it enforces the bulk
-    cap before any sieving starts.
+    a byte; it is read from the chi table over 0..X // 2 at odd_part(p - 1).
+    Filled chunk by chunk so that no index or value temporary spans all the
+    primes.  The bulk cap is checked on X, the length of w, before any sieving.
     """
-    b = chi_divisor_sums(X)
+    check_bulk_limit(X)
+    b = chi_divisor_sums(X // 2)
     primes = prime_array(X)
     w = np.zeros(X + 1, dtype=np.uint8)
     for lo in range(0, len(primes), REDUCTION_CHUNK):
         p = primes[lo : lo + REDUCTION_CHUNK]
-        w[p] = b[p - 1]
+        w[p] = b[odd_part(p - 1)]
     return w
 
 

@@ -8,14 +8,15 @@ Bulk tables are numpy arrays; per-n evaluators return plain Python ints.
 Memory policy: primes stream in odd-only segments of 2**22 numbers, each a
 2**21-byte mask, and SPF tables are built one segment at a time and a single
 table never exceeds the segment budget (default 2**22 entries).  The bulk
-chi-divisor-sum, totient and Omega tables come from one prime-power kernel:
-only the returned table spans the whole range 0..limit (limit at most
+totient and Omega tables come from one prime-power kernel: only the
+returned table spans the whole range 0..limit (limit at most
 BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
 kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
-allocated at import.  The chi-divisor window arrays behind chi_range_sums
-and the hooley1 checker are whole-range int32 arrays under the same cap,
-like the returned tables; chi_range_sums builds its three windows one at a
-time, as its caller asks for each.  The squarefree-prime product P is never
+allocated at import.  Every chi-divisor array comes from one window kernel
+as a whole-range int32 array under the same cap; chi_range_sums builds its
+three windows one at a time.  Since chi vanishes at even d, the prime
+weights and hooley1 read their chi arrays at the odd part of p - 1, so
+those arrays span half the range.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
 No prime stream goes past STREAM_LIMIT = 2**30.
 """
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import arith
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, brief_int
 
 DEFAULT_SEGMENT_LENGTH = 1 << 22
 
@@ -39,8 +40,8 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 # totient and Omega tables) may be materialized in one piece.
 BULK_TABLE_LIMIT = 1 << 24
 
-# Entries per segment of the prime-power kernel behind those tables; its
-# 32-bit working arrays are at most this long.
+# Entries per segment of the prime-power kernel behind the totient and
+# Omega tables; its 32-bit working arrays are at most this long.
 TABLE_SEGMENT_LENGTH = 1 << 16
 
 # Largest limit any prime stream sieves to: 10**8 takes about a second,
@@ -94,7 +95,7 @@ def iter_prime_segments(
     """
     segment_length = _check_segment_length(segment_length)
     if not 0 <= limit <= STREAM_LIMIT:
-        raise PreconditionError(f"limit {limit} is outside 0..{STREAM_LIMIT}, the streaming limit")
+        raise PreconditionError(f"limit {brief_int(limit)} is outside the streaming limit 0..2**30")
     if limit < 2:
         return
     root = isqrt(limit)
@@ -318,7 +319,7 @@ def f_enveloping(n: int, params: Params) -> int:
 def check_bulk_limit(limit: int) -> None:
     if limit > BULK_TABLE_LIMIT:
         raise ConfigurationError(
-            f"whole-range table for limit {limit} exceeds the bulk cap of "
+            f"whole-range table for limit {brief_int(limit)} exceeds the bulk cap of "
             f"{BULK_TABLE_LIMIT}; this toolkit targets desk-scale ranges"
         )
 
@@ -359,33 +360,21 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
     return out
 
 
-def _chi_local(view, p, e):
-    # sum of chi(p^k) over k <= e
-    if p % 4 == 1:
-        view *= e + 1
-    elif p % 4 == 3:
-        view *= 1 - (e & 1)
-
-
-def _chi_leftover(view, rem):
-    # 1 + chi(q) for a leftover prime q: 0 when q = 3 (mod 4), 2 when q = 1.
-    r = rem & 3
-    view *= r != 3
-    np.multiply(view, 2, out=view, where=(r == 1) & (rem > 1))
-
-
 @lru_cache(maxsize=4)
 def chi_divisor_sums(limit: int) -> np.ndarray:
     """Array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
 
-    b is multiplicative: b(2^e) = 1, b(p^e) = e + 1 for p = 1 (mod 4), and
-    for p = 3 (mod 4) b(p^e) is 1 when e is even, else 0.  By the
-    two-squares identity, r(n) = 4 * b[n].
+    The window of _chi_divisor_window over every d, cached and read-only;
+    r(n) = 4 * b[n], and b[n] = b[odd_part(n)] since chi(d) = 0 at even d.
     """
-    check_bulk_limit(limit)
-    b = _prime_power_table(limit, np.int32, 1, _chi_local, _chi_leftover)
+    b = _chi_divisor_window(limit, 1, limit)
     b.flags.writeable = False
     return b
+
+
+def odd_part(n):
+    """n with every factor 2 divided out, for an int or integer array n >= 1."""
+    return n // (n & -n)
 
 
 def _chi_divisor_window(limit: int, first: int, last: int) -> np.ndarray:

@@ -266,9 +266,14 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         # Every weight-array command checks the cap before it sieves.
         ("rsum --x 100000000000", "bulk cap"),
         ("bvsum --x 100000000000 --A 1", "bulk cap"),
+        # The chi table spans only 0..X // 2, but the weight array spans 0..X.
+        ("rsum --x 16777217", "bulk cap"),
+        ("bvsum --x 16777217 --A 1", "bulk cap"),
         ("discrepancy --x 100000000000 --q 3 --a 1", "bulk cap"),
         # So does every lemma checker whose work grows with its range.
         ("lemma hooley1 --x 100000000000", "bulk cap"),
+        # Its window spans 0..(X - 1) // 2, but p - 1 reaches X - 1.
+        ("lemma hooley1 --x 16777218", "bulk cap"),
         ("lemma count_n --n 100000000000 --r 1", "bulk cap"),
         ("lemma brun_titchmarsh --x 100000000000 --q 3 --a 1", "streaming limit"),
         ("lemma hooley13q --y 100000000000 --alpha 1.25 --q 4", "bulk cap"),
@@ -286,6 +291,13 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("primes --x -5", "streaming limit"),
         ("constant --tolerance 1e-10", "streaming limit"),
         ("constant --tolerance 1e-300", "streaming limit"),
+        # Trial division walks to sqrt(n); 2^61 - 1 is past its 2^40 limit.
+        ("lemma epq --x 3000000000000000000 --p 2305843009213693951 --q 3", "<= 2**40"),
+        ("discrepancy --x 1000 --q 2305843009213693951 --a 1", "<= 2**40"),
+        ("lemma hooley13q --y 1000 --alpha 1.25 --q 2305843009213693951", "<= 2**40"),
+        ("lemma f_progression --x 1000 --y 100 --q 2305843009213693951 --a 1", "<= 2**40"),
+        ("lemma hooley14 --x 1000000 --r 1 --s 2305843009213693951 --n 1 --y 10 --l-max 10",
+         "<= 2**40"),
     ],
 )
 def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):
@@ -293,6 +305,25 @@ def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):
     assert code == 3
     assert out == ""
     assert reason in err
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("constant --tolerance 1e-300", "streaming limit"),
+        ("lemma brun_titchmarsh --x 1" + "0" * 400 + " --q 3 --a 1", "streaming limit"),
+        ("lemma hooley1 --x 1" + "0" * 400, "bulk cap"),
+        ("discrepancy --x 1000 --q 1" + "0" * 400 + " --a 1", "<= 2**40"),
+    ],
+    ids=["constant", "brun_titchmarsh", "hooley1", "discrepancy"],
+)
+def test_huge_value_error_is_one_short_line(capsys, line, reason):
+    code, out, err = run_cli(capsys, line.split())
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 160
+    assert reason in err
+    assert "Traceback" not in err
 
 
 def test_rsum_value(capsys):

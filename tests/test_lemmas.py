@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
-from linnikbv import arith, lemmas
+from linnikbv import arith, lemmas, sieve
 from linnikbv.errors import PreconditionError
 from linnikbv.sieve import Params
 
@@ -27,6 +28,16 @@ def test_hooley1_examples():
     assert lemmas.hooley1_lhs(16, 0.1) == 0
     assert lemmas.hooley1_lhs(10**4, 1.0) == 986  # frozen from the direct scan
     assert lemmas.hooley1_lhs(10**3, 1.0) == hooley1_direct(10**3, 1.0)
+
+
+@pytest.mark.parametrize("X", [10**4, 10**5])
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_hooley1_odd_part_read_matches_full_window(X, omega):
+    log_x = math.log(X)
+    lo, hi = math.sqrt(X) * log_x**-omega, math.sqrt(X) * log_x**omega
+    full = oracles.chi_divisor_window(X - 1, math.floor(lo) + 1, math.ceil(hi) - 1)
+    expected = int(np.abs(full[sieve.prime_array(X) - 1]).sum())
+    assert lemmas.hooley1_lhs(X, omega) == expected
 
 
 def test_hooley1_omega_dependence():

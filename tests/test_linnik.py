@@ -277,11 +277,24 @@ def test_decompose_second_oracle_point(X, A, a, exponent):
     assert (result.S1, result.S2, result.S3, result.S4) == expected
 
 
+@pytest.mark.parametrize("X", [65537, 3 * 2**16 + 17, 1_000_003])
+def test_prime_weights_read_at_odd_part_match_full_table(X):
+    # 65537 is prime and one past a kernel segment; 10^6 + 3 is prime and
+    # pi(10^6 + 3) = 78498 + 1 crosses a REDUCTION_CHUNK edge.
+    full = oracles.chi_divisor_sums(X)
+    primes = sieve.prime_array(X)
+    w = linnik._prime_weights(X)
+    assert primes[:2].tolist() == [2, 3]
+    assert np.array_equal(w[primes], full[primes - 1])
+    assert int(w.sum()) == int(full[primes - 1].sum())  # 0 off the primes
+
+
 def test_decompose_holds_one_window_at_a_time():
     X = 1 << 20
     params = Params(X, 1.0, 1, override_exponent=2)
-    # Cached tables are built first, so only decompose's own arrays count.
-    sieve.chi_divisor_sums(X)
+    # Cached tables are built first, so only decompose's own arrays count;
+    # bv_sum reads the chi table over 0..X // 2.
+    sieve.chi_divisor_sums(X // 2)
     sieve.prime_array(X)
     tracemalloc.start()
     try:
