@@ -13,8 +13,9 @@ returned table spans the whole range 0..limit (limit at most
 BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
 kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
 allocated at import.  Every chi-divisor array comes from one window kernel
-as a whole-range int32 array under the same cap; chi_range_sums builds its
-three windows one at a time.  Since chi vanishes at even d, the prime
+as a whole-range array under the same cap, by strided slice adds alone:
+int32 windows, chi_range_sums's three built one at a time, and the uint8
+full table, whose sums are 0..48.  Since chi vanishes at even d, the prime
 weights and hooley1 read their chi arrays at the odd part of p - 1, so
 those arrays span half the range.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
@@ -362,12 +363,13 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
 
 @lru_cache(maxsize=4)
 def chi_divisor_sums(limit: int) -> np.ndarray:
-    """Array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
+    """uint8 array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
 
     The window of _chi_divisor_window over every d, cached and read-only;
     r(n) = 4 * b[n], and b[n] = b[odd_part(n)] since chi(d) = 0 at even d.
+    Built mod 256, which is exact since every b[n] is in 0..48 below the cap.
     """
-    b = _chi_divisor_window(limit, 1, limit)
+    b = _chi_divisor_window(limit, 1, limit, np.uint8)
     b.flags.writeable = False
     return b
 
@@ -377,28 +379,25 @@ def odd_part(n):
     return n // (n & -n)
 
 
-def _chi_divisor_window(limit: int, first: int, last: int) -> np.ndarray:
-    """int32 array w over 0..limit with w[n] = sum of chi(d) over d | n, first <= d <= last.
+def _chi_divisor_window(limit: int, first: int, last: int, dtype=np.int32) -> np.ndarray:
+    """Array w over 0..limit with w[n] = sum of chi(d) over d | n, first <= d <= last.
 
     An odd d <= sqrt(limit) adds chi(d) along the slice w[d::d].  A larger
-    d has cofactor e = n/d <= sqrt(limit) (Hooley's switch d <-> n/d), so
-    each such e scatters chi(d) onto w[e*d] for the window's odd d up to
-    limit // e, taken TABLE_SEGMENT_LENGTH of them at a time.  Even d add
-    nothing, since chi vanishes there.
+    d has cofactor e = n/d <= sqrt(limit) (Hooley's switch d <-> n/d), and
+    for each e the window's d = 1 and d = 3 (mod 4) up to limit // e sit on
+    two slices of stride 4e, which add +1 and -1.  Even d add nothing, since
+    chi vanishes there.  An unsigned dtype takes the sums mod 2**bits.
     """
     check_bulk_limit(limit)
-    w = np.zeros(limit + 1, dtype=np.int32)
-    first, last = max(first, 1), min(last, limit)
+    w = np.zeros(limit + 1, dtype=dtype)
+    first, last = max(first, 1), min(max(last, 0), limit)
     root = isqrt(limit)
-    for d in range(first | 1, min(last, root) + 1, 2):
-        w[d::d] += 1 - (d & 2)
-    step = 2 * TABLE_SEGMENT_LENGTH
-    for lo in range(max(first, root + 1) | 1, last + 1, step):
-        ds = np.arange(lo, min(lo + step, last + 1), 2, dtype=np.int32)
-        chi = 1 - (ds & 2)
+    lo = max(first, root + 1)
+    for r, c in ((1, 1), (3, np.array(-1).astype(dtype))):  # chi(d) = c at d = r (mod 4)
+        for d in range(first + (r - first) % 4, min(last, root) + 1, 4):
+            w[d::d] += c
         for e in range(1, limit // lo + 1):
-            k = min(ds.size, (limit // e - lo) // 2 + 1)
-            w[e * ds[:k]] += chi[:k]
+            w[e * (lo + (r - lo) % 4) : e * min(last, limit // e) + 1 : 4 * e] += c
     return w
 
 

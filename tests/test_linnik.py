@@ -289,6 +289,22 @@ def test_prime_weights_read_at_odd_part_match_full_table(X):
     assert int(w.sum()) == int(full[primes - 1].sum())  # 0 off the primes
 
 
+def test_prime_weights_hold_a_byte_chi_table():
+    X = 1 << 20
+    sieve.chi_divisor_sums.cache_clear()
+    sieve.prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        linnik._prime_weights(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The uint8 weights (X bytes), the cached uint8 chi table (X/2 bytes),
+    # the int64 primes and the sieve's working arrays; an int32 chi table
+    # alone would add 1.5 X bytes.
+    assert peak < 4.4 * (X + 1)
+
+
 def test_decompose_holds_one_window_at_a_time():
     X = 1 << 20
     params = Params(X, 1.0, 1, override_exponent=2)

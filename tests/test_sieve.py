@@ -259,14 +259,19 @@ def test_chi_range_sums_match_split():
 
 
 def _window_cases(limit):
-    """Window ends at 1, around sqrt(limit), at or past limit, and empty."""
+    """Window ends at 1, around sqrt(limit), at or past limit, and empty.
+
+    The four starts root + 1 .. root + 4 above sqrt(limit) cover every
+    residue mod 4, so both stride-4e slices of each cofactor start at
+    every offset.
+    """
     root = isqrt(limit)
-    ends = sorted({0, 1, 2, 7, root - 1, root, root + 1, root + 2, limit // 3,
-                   limit - 1, limit, limit + 5})
+    ends = sorted({-1, 0, 1, 2, 7, root - 1, root, root + 1, root + 2, root + 3,
+                   root + 4, limit // 3, limit - 1, limit, limit + 5})
     return [(first, last) for first in ends for last in ends]
 
 
-@pytest.mark.parametrize("limit", [0, 1, 9, 100, 101, 1000, 4099])
+@pytest.mark.parametrize("limit", [0, 1, 9, 100, 101, 1000, 4095, 4096, 4097, 4099, 2**17 + 1])
 def test_chi_divisor_window_matches_oracle(limit):
     for first, last in _window_cases(limit):
         got = sieve._chi_divisor_window(limit, first, last)
@@ -275,11 +280,21 @@ def test_chi_divisor_window_matches_oracle(limit):
 
 
 def test_chi_divisor_window_spans_segments():
-    # More odd d above sqrt(limit) than one scatter segment holds.
+    # Windows from 1, from just above sqrt(limit) and from far above it, on a
+    # range of many kernel segments; each cofactor's slices span the range.
     limit = 3 * 2**16 + 17
     for first, last in [(1, limit), (isqrt(limit) + 1, limit), (600, 70000), (70001, 131073)]:
         got = sieve._chi_divisor_window(limit, first, last)
         assert np.array_equal(got, oracles.chi_divisor_window(limit, first, last)), (first, last)
+
+
+@pytest.mark.parametrize("limit", [10**5, 1 << 20])
+def test_uint8_chi_table_matches_int32_window(limit):
+    # The uint8 table is summed mod 256; every whole sum is in 0..48 below
+    # the bulk cap, so it must equal the int32 window.
+    table = sieve.chi_divisor_sums(limit)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, sieve._chi_divisor_window(limit, 1, limit))
 
 
 def test_chi_divisor_window_checks_bulk_cap():
@@ -324,7 +339,8 @@ def test_totient_and_omega_tables():
 def test_prime_power_tables_match_loop_oracles(name, limit):
     table = getattr(sieve, name)(limit)
     expected = getattr(oracles, name)(limit)
-    assert table.dtype == expected.dtype
+    # The chi table is uint8 (every entry fits a byte) beside an int32 oracle.
+    assert table.dtype == (np.uint8 if name == "chi_divisor_sums" else expected.dtype)
     assert np.array_equal(table, expected)
     assert not table.flags.writeable
 
