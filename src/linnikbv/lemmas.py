@@ -24,7 +24,7 @@ import numpy as np
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import REDUCTION_CHUNK, theta0
+from .linnik import REDUCTION_CHUNK, at_shifted_primes, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
     Params,
@@ -32,8 +32,8 @@ from .sieve import (
     check_bulk_limit,
     f_enveloping,
     iter_prime_segments,
-    odd_part,
     omega_table,
+    open_range,
     prime_array,
     totient_table,
 )
@@ -112,8 +112,8 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """Sum over p <= X of |sum of chi over divisors of p-1 in the middle window|.
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
-    both sides, so the integer d run from floor(lo) + 1 to ceil(hi) - 1.
-    It is read at odd_part(p - 1), as chi(d) = 0 at even d.  Exact.
+    both sides: the d of open_range(lo, hi).  The window spans 0..(X - 1) // 2
+    and at_shifted_primes reads it at the primes.  Exact.
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
@@ -121,8 +121,8 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     shrink, stretch = _log_powers(X, omega)
     lo = math.sqrt(X) * shrink
     hi = math.sqrt(X) * stretch
-    win = _chi_divisor_window((X - 1) // 2, math.floor(lo) + 1, math.ceil(hi) - 1)
-    return int(np.abs(win[odd_part(prime_array(X) - 1)]).sum())
+    win = _chi_divisor_window((X - 1) // 2, *open_range(lo, hi))
+    return sum(int(np.abs(w).sum()) for _, w in at_shifted_primes(win, X))
 
 
 def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
@@ -216,8 +216,8 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
             f"{BULK_TABLE_LIMIT}; lower y or omega"
         )
     threshold = alpha * _loglog(y)
-    # The integers strictly between lo > 0 and hi, all at most int(hi).
-    ns = np.arange(int(lo) + 1, math.ceil(hi))
+    first, last = open_range(lo, hi)  # last <= int(hi)
+    ns = np.arange(first, last + 1)
     return _sum_reciprocals(ns[omega_table(int(hi))[ns] <= threshold])
 
 

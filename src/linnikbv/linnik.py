@@ -26,8 +26,8 @@ from .sieve import (
     prime_array,
 )
 
-# Entries per step of a reduction over a long array (the primes placed in
-# the weight array, the terms of an fsum), so that no temporary spans it all.
+# Entries per step of a reduction over a long array (the primes read by
+# at_shifted_primes, the terms of an fsum), so that no temporary spans it all.
 REDUCTION_CHUNK = 1 << 16
 
 
@@ -73,14 +73,11 @@ def theta0() -> float:
 
 
 def sum_r_shifted_primes(X: int) -> int:
-    """Exact sum of r(p - 1) over primes p <= X.
-
-    Four times the sum of the prime-weight array (see _prime_weights), which
-    holds r(p - 1)/4 = sum of chi over the divisors of p - 1 at each prime.
-    """
+    """Exact sum over primes p <= X of r(p - 1) = 4 * the chi table read by at_shifted_primes."""
     if X < 2:
         raise PreconditionError(f"sum_r_shifted_primes requires X >= 2, got {X}")
-    return 4 * int(_prime_weights(X).sum())
+    check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
+    return 4 * sum(int(b.sum()) for _, b in at_shifted_primes(chi_divisor_sums(X // 2), X))
 
 
 def linnik_constant(tolerance: float) -> LinnikConstant:
@@ -122,23 +119,30 @@ def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
     return DiscrepancyRow(q, a, weighted, main, weighted - main)
 
 
-def _prime_weights(X: int) -> np.ndarray:
-    """uint8 array w over 0..X with w[p] = r(p - 1)/4 at primes p, 0 elsewhere.
+def at_shifted_primes(table: np.ndarray, X: int):
+    """Yield (p, table[odd_part(p - 1)]) for the primes p <= X, REDUCTION_CHUNK at a time.
 
-    The residue-class sum over p = a (q), p <= X, is then the strided sum
-    w[a % q :: q].sum().  r/4 is at most 48 below the bulk cap, so it fits
-    a byte; it is read from the chi table over 0..X // 2 at odd_part(p - 1).
-    Filled chunk by chunk so that no index or value temporary spans all the
-    primes.  The bulk cap is checked on X, the length of w, before any sieving.
+    odd_part(p - 1) is at most (X - 1)/2, and chi(d) = 0 at even d, so every
+    chi-divisor sum at p - 1 is its value there.
     """
-    check_bulk_limit(X)
-    b = chi_divisor_sums(X // 2)
     primes = prime_array(X)
-    w = np.zeros(X + 1, dtype=np.uint8)
     for lo in range(0, len(primes), REDUCTION_CHUNK):
         p = primes[lo : lo + REDUCTION_CHUNK]
-        w[p] = b[odd_part(p - 1)]
-    return w
+        yield p, table[odd_part(p - 1)]
+
+
+def _by_prime(table: np.ndarray, X: int) -> np.ndarray:
+    """at_shifted_primes laid out by p over 0..X in table's dtype, 0 off the primes."""
+    col = np.zeros(X + 1, dtype=table.dtype)
+    for p, values in at_shifted_primes(table, X):
+        col[p] = values
+    return col
+
+
+def _prime_weights(X: int) -> np.ndarray:
+    """uint8 w over 0..X with w[p] = r(p - 1)/4, at most 48 below the cap, at primes p, else 0."""
+    check_bulk_limit(X)  # on X, the length of w, before any sieving
+    return _by_prime(chi_divisor_sums(X // 2), X)
 
 
 def _moduli(params: Params) -> list[int]:
@@ -153,7 +157,7 @@ def _moduli(params: Params) -> list[int]:
 def _gap_sum(col: np.ndarray, a: int, moduli: list[int]) -> Fraction:
     """Exact sum over the moduli q of |col[a % q :: q].sum() - col.sum()/phi(q)|.
 
-    col is laid out by p, as _prime_weights lays out r/4, so each residue
+    col is laid out by p, as _by_prime returns it, so each residue
     class a mod q is one strided sum and the whole average costs about
     X log Q reads.  |W_q - T/phi| = |W_q phi - T| / phi, so the integer
     gaps are added within each distinct phi = phi(q) and one Fraction is
@@ -199,14 +203,6 @@ def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
     return low, mid, high
 
 
-def _relabel_by_prime(window: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Move window[p - 1] to window[p] at each prime p and zero the rest, in place."""
-    at_p = window[primes - 1]
-    window[:] = 0
-    window[primes] = at_p
-    return window
-
-
 def decompose(params: Params) -> DecompositionResult:
     """The four divisor-range sums S1..S4 from strided class sums, plus the lhs.
 
@@ -214,9 +210,9 @@ def decompose(params: Params) -> DecompositionResult:
     1/phi(q)-scaled totals over the low (d <= D) and high (d >= X/D)
     divisor ranges; S3 carries 1/phi(q) outside an absolute value taken
     per prime over the middle range; S4 is the progression-restricted
-    middle-range sum with no main term subtracted.  Each chi window is
-    relabelled by p in place and read like the prime weights, one window
-    at a time; the lhs is bv_sum.
+    middle-range sum with no main term subtracted.  The three int16 chi
+    windows span 0..X // 2 and are built one at a time; each is laid out
+    by p with _by_prime and read like the prime weights.  The lhs is bv_sum.
     """
     if params.D < 2:
         raise PreconditionError(
@@ -226,15 +222,14 @@ def decompose(params: Params) -> DecompositionResult:
     X, a = params.X, params.a
     moduli = _moduli(params)
     check_bulk_limit(X)
-    primes = prime_array(X)
-    # Each window is a bare next() result, so none outlives its own sums,
+    # Each window is a bare next() result, so none outlives its column,
     # and the chi table behind the lhs is built only once they are gone.
-    windows = chi_range_sums(X, params.D)
-    S1 = _gap_sum(_relabel_by_prime(next(windows), primes), a, moduli)
-    mid = _relabel_by_prime(next(windows), primes)
+    windows = chi_range_sums(X // 2, params.D, X / params.D)
+    S1 = _gap_sum(_by_prime(next(windows), X), a, moduli)
+    mid = _by_prime(next(windows), X)
     S4 = Fraction(sum(abs(int(mid[a % q :: q].sum())) for q in moduli))
     mid_abs = int(np.abs(mid, out=mid).sum())
     del mid
     S3 = sum((Fraction(mid_abs, arith.euler_phi(q)) for q in moduli), Fraction(0))
-    S2 = _gap_sum(_relabel_by_prime(next(windows), primes), a, moduli)
+    S2 = _gap_sum(_by_prime(next(windows), X), a, moduli)
     return DecompositionResult(S1, S2, S3, S4, bv_sum(params), params)

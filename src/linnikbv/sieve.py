@@ -14,10 +14,10 @@ BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
 kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
 allocated at import.  Every chi-divisor array comes from one window kernel
 as a whole-range array under the same cap, by strided slice adds alone:
-int32 windows, chi_range_sums's three built one at a time, and the uint8
-full table, whose sums are 0..48.  Since chi vanishes at even d, the prime
-weights and hooley1 read their chi arrays at the odd part of p - 1, so
-those arrays span half the range.  The squarefree-prime product P is never
+int16 windows, chi_range_sums's three built one at a time, and the uint8
+full table, whose sums are 0..48.  Since chi vanishes at even d, each is read
+at the primes at the odd part of p - 1 (linnik.at_shifted_primes), so it
+spans half the range.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
 No prime stream goes past STREAM_LIMIT = 2**30.
 """
@@ -379,14 +379,20 @@ def odd_part(n):
     return n // (n & -n)
 
 
-def _chi_divisor_window(limit: int, first: int, last: int, dtype=np.int32) -> np.ndarray:
+def open_range(lo: float, hi: float) -> tuple[int, int]:
+    """The first and last integer d with lo < d < hi, for finite lo and hi."""
+    return math.floor(lo) + 1, math.ceil(hi) - 1
+
+
+def _chi_divisor_window(limit: int, first: int, last: int, dtype=np.int16) -> np.ndarray:
     """Array w over 0..limit with w[n] = sum of chi(d) over d | n, first <= d <= last.
 
     An odd d <= sqrt(limit) adds chi(d) along the slice w[d::d].  A larger
     d has cofactor e = n/d <= sqrt(limit) (Hooley's switch d <-> n/d), and
     for each e the window's d = 1 and d = 3 (mod 4) up to limit // e sit on
-    two slices of stride 4e, which add +1 and -1.  Even d add nothing, since
-    chi vanishes there.  An unsigned dtype takes the sums mod 2**bits.
+    two slices of stride 4e, which add +1 and -1; even d add nothing.  int16
+    holds |w[n]| <= tau(n) < 2 sqrt(n) <= 2**13 below the bulk cap, and an
+    unsigned dtype takes the sums mod 2**bits.
     """
     check_bulk_limit(limit)
     w = np.zeros(limit + 1, dtype=dtype)
@@ -401,22 +407,19 @@ def _chi_divisor_window(limit: int, first: int, last: int, dtype=np.int32) -> np
     return w
 
 
-def chi_range_sums(limit: int, D: float) -> Iterator[np.ndarray]:
-    """Per-n chi sums over divisors split at D and limit/D.
+def chi_range_sums(limit: int, D: float, upper: float) -> Iterator[np.ndarray]:
+    """Per-n chi sums over the divisors of n <= limit split at D and upper.
 
-    Yields low, mid and high in turn, each built only when asked for, with
-    low[n] summing chi(d) over d | n, d <= D, mid over D < d < limit/D, and
-    high over d >= limit/D.  For an integer d these are the windows
-    [1, floor(D)], [floor(D) + 1, ceil(limit/D) - 1] and [ceil(limit/D),
-    limit], so each inequality keeps its meaning; when D >= limit/D the mid
-    window is empty and low and high overlap.
+    Yields the int16 windows low, mid and high in turn, each built only when
+    asked for: low[n] sums chi(d) over d | n, d <= D, mid over D < d < upper
+    (the d of open_range(D, upper)) and high over d >= upper.  When D >= upper
+    mid is empty and low and high overlap.  The cut points are arguments, so
+    decompose cuts at D and X/D of the full X on windows over 0..X // 2.
     """
-    upper = limit / D
-    cut = math.floor(D)
-    top = math.ceil(upper) if upper < math.inf else limit + 1
-    yield _chi_divisor_window(limit, 1, cut)
-    yield _chi_divisor_window(limit, cut + 1, top - 1)
-    yield _chi_divisor_window(limit, top, limit)
+    first, last = open_range(D, min(upper, limit + 1))  # an infinite upper has no ceil
+    yield _chi_divisor_window(limit, 1, first - 1)
+    yield _chi_divisor_window(limit, first, last)
+    yield _chi_divisor_window(limit, last + 1, limit)
 
 
 def _phi_local(view, p, e):

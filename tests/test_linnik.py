@@ -306,7 +306,7 @@ def test_prime_weights_hold_a_byte_chi_table():
 
 
 def test_decompose_holds_one_window_at_a_time():
-    X = 1 << 20
+    X = 1 << 22
     params = Params(X, 1.0, 1, override_exponent=2)
     # Cached tables are built first, so only decompose's own arrays count;
     # bv_sum reads the chi table over 0..X // 2.
@@ -318,6 +318,36 @@ def test_decompose_holds_one_window_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    window_bytes = 4 * (X + 1)  # one int32 window over 0..X
-    # One window relabelled in place, plus its values at the primes.
-    assert peak < 1.4 * window_bytes
+    # One int16 window over 0..X // 2 (X bytes) and its int16 column by p
+    # (2X bytes), below one int32 window over 0..X.
+    assert peak < 4 * (X + 1)
+
+
+def test_sum_r_builds_no_array_over_the_range():
+    X = 1 << 22
+    sieve.chi_divisor_sums(X // 2)
+    sieve.prime_array(X)
+    tracemalloc.start()
+    try:
+        linnik.sum_r_shifted_primes(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Chunk temporaries only: a uint8 weight array over 0..X alone is X + 1 bytes.
+    assert peak < 0.75 * (X + 1)
+
+
+@pytest.mark.parametrize("X", [65537, 3 * 2**16 + 17, 1_000_003])
+def test_half_range_windows_by_prime_match_full_windows(X):
+    # Windows over 0..X // 2 cut at D and X/D of the full X, read at the odd
+    # part of p - 1, against the full windows read at p - 1.  D < sqrt(X) <
+    # X/D keeps all three nonempty; 10^6 + 3 crosses a REDUCTION_CHUNK edge.
+    D = 20.3
+    primes = sieve.prime_array(X)
+    assert primes[:2].tolist() == [2, 3]
+    windows = sieve.chi_range_sums(X // 2, D, X / D)
+    for got, want in zip(windows, oracles.chi_range_sums(X, D)):
+        col = linnik._by_prime(got, X)
+        assert col.dtype == np.int16 and want[primes - 1].any()
+        assert np.array_equal(col[primes], want[primes - 1])
+        assert np.count_nonzero(col) == np.count_nonzero(want[primes - 1])  # 0 off the primes

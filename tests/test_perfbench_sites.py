@@ -3,11 +3,14 @@
 perfbench/tracer.py wraps each (module, attribute) site in TARGETS; a site
 that no longer resolves drops its per-layer metrics from a traced run.
 perfbench/workloads.py pins the CLI argv of every benchmark command; one
-the parser rejects fails every pass of its workload.
+the parser rejects fails every pass of its workload.  The commands whose
+chi arrays are read at the primes must still print the rows pinned in
+perfbench/reference.json.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,18 @@ def test_workload_argv_parses(line):
     parser = cli.build_parser()
     for a in WORKLOADS.A_CHOICES:
         parser.parse_args(line.format(a=a).split())
+
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["reports"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [f"decompose --x 1000000 --A 2 --override-exponent 2 --a {a}" for a in WORKLOADS.A_CHOICES]
+    + ["lemma hooley1 --x 1000000", "rsum --x 4194304"],
+)
+def test_shifted_prime_reports_match_reference(line, capsys):
+    argv = line.split()
+    assert cli.main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == REFERENCE[WORKLOADS.reference_key(argv)]

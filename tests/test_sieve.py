@@ -244,7 +244,7 @@ def test_chi_divisor_sums_match_identity():
 
 def test_chi_range_sums_match_split():
     X, D = 2000, 9.7
-    low, mid, high = sieve.chi_range_sums(X, D)
+    low, mid, high = sieve.chi_range_sums(X, D, X / D)
     for n in range(1, X + 1, 37):
         l = m = h = 0
         for d in oracles.divisors(n):
@@ -275,7 +275,7 @@ def _window_cases(limit):
 def test_chi_divisor_window_matches_oracle(limit):
     for first, last in _window_cases(limit):
         got = sieve._chi_divisor_window(limit, first, last)
-        assert got.dtype == np.int32
+        assert got.dtype == np.int16
         assert np.array_equal(got, oracles.chi_divisor_window(limit, first, last)), (first, last)
 
 
@@ -297,6 +297,33 @@ def test_uint8_chi_table_matches_int32_window(limit):
     assert np.array_equal(table, sieve._chi_divisor_window(limit, 1, limit))
 
 
+def test_signed_windows_fit_int16_below_bulk_cap():
+    # |w[n]| <= tau(n) < 2 sqrt(n), so the int16 windows are exact while
+    # 2 sqrt(cap) < 2**15; a cap raised to 2**28 or past it fails here.
+    assert 2 * isqrt(sieve.BULK_TABLE_LIMIT) < 2**15
+    # 160225 = 5^2 * 13 * 17 * 29: all 24 divisors have chi = +1, the largest
+    # sum up to it; the windows past sqrt(limit) and below it reach -6 and -5.
+    limit = 160225
+    extremes = []
+    for first, last in [(1, limit), (401, limit), (2, 200)]:
+        got = sieve._chi_divisor_window(limit, first, last)
+        want = oracles.chi_divisor_window(limit, first, last)
+        assert got.dtype == np.int16 and want.dtype == np.int32
+        assert np.array_equal(got, want), (first, last)
+        extremes.append((int(want.max()), int(want.min())))
+    assert extremes == [(24, 0), (12, -6), (8, -5)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, want",
+    [(2.0, 5.0, (3, 4)), (2.5, 4.5, (3, 4)), (0.5, 1.0, (1, 0)), (9.7, 9.9, (10, 9))],
+)
+def test_open_range_is_the_integers_strictly_inside(lo, hi, want):
+    first, last = sieve.open_range(lo, hi)
+    assert (first, last) == want
+    assert list(range(first, last + 1)) == [d for d in range(12) if lo < d < hi]
+
+
 def test_chi_divisor_window_checks_bulk_cap():
     with pytest.raises(ConfigurationError, match="bulk cap"):
         sieve._chi_divisor_window(sieve.BULK_TABLE_LIMIT + 1, 1, 10)
@@ -315,9 +342,9 @@ def test_chi_divisor_window_checks_bulk_cap():
     ],
 )
 def test_chi_range_sums_match_oracle(limit, D):
-    got = sieve.chi_range_sums(limit, D)
+    got = sieve.chi_range_sums(limit, D, limit / D)
     for arr, want in zip(got, oracles.chi_range_sums(limit, D)):
-        assert arr.dtype == np.int32
+        assert arr.dtype == np.int16
         assert np.array_equal(arr, want)
 
 
