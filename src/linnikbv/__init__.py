@@ -6,6 +6,12 @@ four-way divisor-range decomposition of that average, and exact empirical
 checkers for the supporting lemmas.
 """
 
+import os
+
+# numpy's OpenBLAS starts a thread pool that spins at import; nothing here
+# calls BLAS, so one thread saves that CPU.  A value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ConfigurationError, PreconditionError
 from .sieve import (
     FactorTable,

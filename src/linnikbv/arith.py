@@ -4,7 +4,8 @@ Everything here is a pure function of its arguments and uses integer or
 rational arithmetic internally; floating point appears only where a value
 is genuinely transcendental (r_envelope's logarithm).  Real-valued
 thresholds such as y are compared against exact integers directly, which
-Python does without rounding.
+Python does without rounding.  reciprocal_sum takes a numpy array, so that
+an exact sum over a table needs no per-term Fraction.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from .errors import PreconditionError, brief_int
 
@@ -141,6 +144,41 @@ def sigma_minus1(n: int, y: Optional[Real] = None) -> Fraction:
         if y is None or d > y:
             total += Fraction(1, d)
     return total
+
+
+def reciprocal_sum(values: np.ndarray, weights=None) -> Fraction:
+    """Exact sum of weights[i] / values[i] over positive integers, 1 / values[i] unweighted.
+
+    Unweighted, np.unique groups the values (they may reach the bulk cap,
+    too far for a bincount) into terms c_v / v, c_v the count of v.  Weights,
+    which may be a lazy iterable, are taken term by term as they come.  The
+    terms are added over one common denominator, the lcm of the v, by
+    merging them pairwise as in a balanced tree, so that each gcd is taken
+    between numbers of like size and only O(log n) partial sums are held;
+    one Fraction is built at the end.
+    """
+    if weights is None:
+        vs, cs = np.unique(values, return_counts=True)
+        terms = zip(cs.tolist(), vs.tolist())
+    else:
+        terms = zip(weights, map(int, values))
+    stack: list[tuple[int, int, int]] = []  # (terms merged, numerator, denominator)
+    for num, den in terms:
+        merged = 1
+        while stack and stack[-1][0] == merged:
+            num, den = _add_ratios(*stack.pop()[1:], num, den)
+            merged *= 2
+        stack.append((merged, num, den))
+    num, den = 0, 1
+    while stack:
+        num, den = _add_ratios(*stack.pop()[1:], num, den)
+    return Fraction(num, den)
+
+
+def _add_ratios(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1/d1 + n2/d2 over the denominator lcm(d1, d2), unreduced."""
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
 
 
 def tau_trunc(n: int, y: Real) -> int:

@@ -35,6 +35,7 @@ from .sieve import (
     omega_table,
     open_range,
     prime_array,
+    sigma_table,
     totient_table,
 )
 from .sieve import divisors_of  # noqa: F401  perfbench/tracer.py counts calls here
@@ -42,6 +43,9 @@ from .sieve import divisors_of  # noqa: F401  perfbench/tracer.py counts calls h
 Real = Union[int, float, Fraction]
 
 EXACT_SUM_TERM_LIMIT = 20_000
+
+# Most h values plus (h, d) terms hooley15_sums takes; each term is a Python object.
+HOOLEY15_TERM_LIMIT = 1_000_000
 
 # Denominator cap below which an alpha passed as float is treated as the
 # exact rational it represents (covers 1/2 .. 7/4 in quarter steps).
@@ -92,7 +96,7 @@ def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
     has the bytes of a per-term fsum of the Fractions.
     """
     if dens.size <= EXACT_SUM_TERM_LIMIT:
-        return sum((Fraction(1, n) for n in dens.tolist()), Fraction(0))
+        return arith.reciprocal_sum(dens)
     step = REDUCTION_CHUNK
     return _fsum_chunks(1.0 / dens[lo : lo + step] for lo in range(0, dens.size, step))
 
@@ -270,7 +274,9 @@ def hooley15_sums(
     which = 1 sums the divisor-sum envelope R_n(h, d, u'/h); which = 2 sums
     sigma_-1(d)/(hd) * sigma_-1(n, u'/h); which = 3 sums (h/u)(1/(hd)).
     The u/h and u'/h thresholds are exact rationals; only the (log X)^omega
-    stretch factor is floating point.
+    stretch factor is floating point.  The h values and (h, d) terms are
+    counted from the d ranges before any term is built; more than
+    HOOLEY15_TERM_LIMIT is a precondition error.
     """
     if not 1 < u < params.X:
         raise PreconditionError(f"hooley15_sums requires 1 < u < X, got u={u}")
@@ -289,29 +295,34 @@ def hooley15_sums(
             f"the d range end u(log X)^omega = {d_end:.6g} exceeds the bulk cap "
             f"{BULK_TABLE_LIMIT}; lower u or omega"
         )
+
+    def h_ranges():
+        # d_lo = u/h < d < d_hi = d_end/h, so d runs from floor(d_lo) + 1 below ceil(d_hi).
+        for h in range(1, math.floor(u_exact) + 1):
+            yield h, range(math.floor(u_exact / h) + 1, math.ceil(d_end / h))
+
+    # One step per h, even where its d range is empty, and one per (h, d) term.
+    steps = itertools.accumulate((len(ds) for _, ds in h_ranges()), initial=math.floor(u_exact))
+    if any(s > HOOLEY15_TERM_LIMIT for s in steps):
+        raise PreconditionError(
+            f"hooley15 would take more than {HOOLEY15_TERM_LIMIT} h values and (h, d) terms; "
+            "lower u or omega"
+        )
     float_terms: list[float] = []
     frac_terms: list[Fraction] = []
-    sigma_d: dict[int, Fraction] = {}  # sigma_-1(d), once per distinct d
-    h = 1
-    while h <= u_exact:
-        d_lo = u_exact / h
-        d_hi = d_end / h
+    if which == 2:
+        sigma = sigma_table(math.floor(d_end))  # every d < d_end
+    for h, ds in h_ranges():
         y_h = up_exact / h
-        if which == 2:
-            sigma_n = arith.sigma_minus1(n, y_h)
-        d = int(d_lo) + 1
-        while d < d_hi:
-            if d > d_lo:
-                if which == 1:
-                    float_terms.append(arith.r_envelope(n, h, d, y_h))
-                elif which == 2:
-                    if d not in sigma_d:
-                        sigma_d[d] = arith.sigma_minus1(d)
-                    frac_terms.append(sigma_d[d] / (h * d) * sigma_n)
-                else:
-                    frac_terms.append(Fraction(h) / u_exact / (h * d))
-            d += 1
-        h += 1
+        if which == 1:
+            float_terms.extend(arith.r_envelope(n, h, d, y_h) for d in ds)
+        elif which == 2:
+            # sigma_-1(d)/(hd) * sigma_-1(n, u'/h) = sigma(d) a_h / (d^2 b_h)
+            a_h, b_h = (arith.sigma_minus1(n, y_h) / h).as_integer_ratio()
+            sds = sigma[ds.start : ds.stop].tolist()
+            frac_terms.extend(Fraction(sd * a_h, d * d * b_h) for d, sd in zip(ds, sds))
+        else:
+            frac_terms.extend(Fraction(h) / u_exact / (h * d) for d in ds)
     if which == 1:
         return math.fsum(float_terms)
     return _sum_fractions(frac_terms)

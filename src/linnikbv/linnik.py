@@ -24,11 +24,13 @@ from .sieve import (
     iter_prime_segments,
     odd_part,
     prime_array,
+    totient_table,
 )
 
 # Entries per step of a reduction over a long array (the primes read by
-# at_shifted_primes, the terms of an fsum), so that no temporary spans it all.
-REDUCTION_CHUNK = 1 << 16
+# at_shifted_primes, the terms of an fsum), so that no temporary spans it
+# all; an int64 temporary of one step is 128 KiB.
+REDUCTION_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,26 +98,40 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
     bound = max(3, math.ceil(1.0 / tolerance))
     acc = 1.0
     for seg in iter_prime_segments(bound):
-        seg = seg[seg > 2]
+        seg = seg[np.searchsorted(seg, 3) :]  # the odd primes, as a view
         if seg.size == 0:
             continue
-        p = seg.astype(np.float64)
-        factors = 1.0 + np.where(seg % 4 == 1, 1.0, -1.0) / (p * (p - 1.0))
+        # 1 + chi(p)/(p(p - 1)) in place, one IEEE operation per step as in
+        # the whole expression, so the bytes are the same and at most three
+        # arrays the size of the segment are alive at once.
+        den = seg.astype(np.float64)
+        den *= den - 1.0
+        factors = np.where(seg % 4 == 1, 1.0, -1.0)
+        factors /= den
+        factors += 1.0
         acc *= float(np.prod(factors))
     return LinnikConstant(math.pi * acc, bound, 1.0 / bound)
 
 
 def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
-    """Exact r-weighted count over p = a (q), its main term, and their gap."""
+    """Exact r-weighted count over p = a (q), its main term, and their gap.
+
+    The class sum and the total both add up at_shifted_primes chunks, as
+    sum_r_shifted_primes does, so no array spans 0..X.
+    """
     if X < 2:
         raise PreconditionError(f"discrepancy requires X >= 2, got {X}")
     if q < 1 or a < 1:
         raise PreconditionError("discrepancy requires q >= 1 and a >= 1")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    w = _prime_weights(X)
-    weighted = 4 * int(w[a % q :: q].sum())
-    main = Fraction(4 * int(w.sum()), arith.euler_phi(q))
+    check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
+    phi = arith.euler_phi(q)  # q <= 2**40 from here on, so p % q fits int64
+    weighted = total = 0
+    for p, b in at_shifted_primes(chi_divisor_sums(X // 2), X):
+        weighted += 4 * int(b[p % q == a % q].sum())
+        total += 4 * int(b.sum())
+    main = Fraction(total, phi)
     return DiscrepancyRow(q, a, weighted, main, weighted - main)
 
 
@@ -160,16 +176,19 @@ def _gap_sum(col: np.ndarray, a: int, moduli: list[int]) -> Fraction:
     col is laid out by p, as _by_prime returns it, so each residue
     class a mod q is one strided sum and the whole average costs about
     X log Q reads.  |W_q - T/phi| = |W_q phi - T| / phi, so the integer
-    gaps are added within each distinct phi = phi(q) and one Fraction is
-    built per group.
+    gaps are summed exactly by arith.reciprocal_sum over their phi(q).
     """
     total = int(col.sum())
-    groups: dict[int, int] = {}
-    for q in moduli:
-        phi = arith.euler_phi(q)
-        gap = abs(int(col[a % q :: q].sum()) * phi - total)
-        groups[phi] = groups.get(phi, 0) + gap
-    return sum((Fraction(gap, phi) for phi, gap in groups.items()), Fraction(0))
+    phis = _totients(moduli)
+    gaps = (
+        abs(int(col[a % q :: q].sum()) * phi - total) for q, phi in zip(moduli, map(int, phis))
+    )
+    return arith.reciprocal_sum(phis, gaps)
+
+
+def _totients(moduli: list[int]) -> np.ndarray:
+    """phi(q) for the ascending moduli, read from the totient table up to the last."""
+    return totient_table(moduli[-1])[moduli]
 
 
 def bv_sum(params: Params) -> Fraction:
@@ -230,6 +249,6 @@ def decompose(params: Params) -> DecompositionResult:
     S4 = Fraction(sum(abs(int(mid[a % q :: q].sum())) for q in moduli))
     mid_abs = int(np.abs(mid, out=mid).sum())
     del mid
-    S3 = sum((Fraction(mid_abs, arith.euler_phi(q)) for q in moduli), Fraction(0))
+    S3 = mid_abs * arith.reciprocal_sum(_totients(moduli))
     S2 = _gap_sum(_by_prime(next(windows), X), a, moduli)
     return DecompositionResult(S1, S2, S3, S4, bv_sum(params), params)

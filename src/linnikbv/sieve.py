@@ -8,14 +8,14 @@ Bulk tables are numpy arrays; per-n evaluators return plain Python ints.
 Memory policy: primes stream in odd-only segments of 2**22 numbers, each a
 2**21-byte mask, and SPF tables are built one segment at a time and a single
 table never exceeds the segment budget (default 2**22 entries).  The bulk
-totient and Omega tables come from one prime-power kernel: only the
+totient, sigma and Omega tables come from one prime-power kernel: only the
 returned table spans the whole range 0..limit (limit at most
-BULK_TABLE_LIMIT), while every working array is 32-bit and at most one
-kernel segment (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is
-allocated at import.  Every chi-divisor array comes from one window kernel
-as a whole-range array under the same cap, by strided slice adds alone:
-int16 windows, chi_range_sums's three built one at a time, and the uint8
-full table, whose sums are 0..48.  Since chi vanishes at even d, each is read
+BULK_TABLE_LIMIT), while every working array is at most one kernel segment
+(TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is allocated at
+import.  Every chi-divisor array comes from one window kernel as a
+whole-range array under the same cap, by strided slice adds alone: int16
+windows, chi_range_sums's three built one at a time, and the uint8 full
+table, whose sums are 0..48.  Since chi vanishes at even d, each is read
 at the primes at the odd part of p - 1 (linnik.at_shifted_primes), so it
 spans half the range.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
@@ -339,7 +339,7 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
     out = np.full(limit + 1, identity, dtype=dtype)
     out[0] = 0
     base = _base_primes(isqrt(limit)).tolist()
-    ones = np.ones(TABLE_SEGMENT_LENGTH, dtype=np.int32)
+    ones = np.ones(min(TABLE_SEGMENT_LENGTH, limit), dtype=np.int32)
     for lo in range(1, limit + 1, TABLE_SEGMENT_LENGTH):
         hi = min(lo + TABLE_SEGMENT_LENGTH, limit + 1)
         seg = out[lo:hi]
@@ -437,6 +437,24 @@ def totient_table(limit: int) -> np.ndarray:
     phi = _prime_power_table(limit, np.int64, 1, _phi_local, _phi_leftover)
     phi.flags.writeable = False
     return phi
+
+
+def _sigma_local(view, p, e):
+    # p^(e+1) reaches limit * p, past int32, and a Python-int base keeps e's int32.
+    view *= (np.power(np.int64(p), e + 1) - 1) // (p - 1)
+
+
+def _sigma_leftover(view, rem):
+    view *= np.where(rem > 1, rem + 1, 1)
+
+
+@lru_cache(maxsize=4)
+def sigma_table(limit: int) -> np.ndarray:
+    """Sum of divisors sigma(n) for 0..limit as an int64 array (sigma[0] = 0)."""
+    check_bulk_limit(limit)
+    sigma = _prime_power_table(limit, np.int64, 1, _sigma_local, _sigma_leftover)
+    sigma.flags.writeable = False
+    return sigma
 
 
 def _omega_local(view, p, e):

@@ -270,6 +270,14 @@ def totient_table(limit):
     return phi
 
 
+def sigma_table(limit):
+    """Sum of divisors for 0..limit as int64 (sigma[0] = 0), one slice add per d."""
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        sigma[d::d] += d
+    return sigma
+
+
 def omega_table(limit):
     """Omega for 0..limit as uint8; a p with om[p] == 0 has no smaller prime factor."""
     om = np.zeros(limit + 1, dtype=np.uint8)

@@ -152,6 +152,43 @@ def test_sigma_minus1_is_sigma_over_n():
         assert arith.sigma_minus1(n) == Fraction(_sigma_sqrt(n), n)
 
 
+def _sequential_sum(values, weights=None):
+    """The per-term Fraction sum that reciprocal_sum replaces."""
+    weights = [1] * len(values) if weights is None else weights
+    return sum((Fraction(w, v) for v, w in zip(values, weights)), Fraction(0))
+
+
+@pytest.mark.parametrize("X", [1, 2, 10, 100, 1000, 10**4])
+def test_reciprocal_sum_on_the_murty_grid(X):
+    phi = oracles.totient_table(X)[1:]
+    assert arith.reciprocal_sum(phi) == _sequential_sum(phi.tolist())
+
+
+@pytest.mark.parametrize("y", [100, 1000, 10**4, 80004])
+@pytest.mark.parametrize("q", [1, 4, 7])
+def test_reciprocal_sum_on_the_hooley13q_grid(y, q):
+    threshold = 1.25 * math.log(math.log(y)) - 1.0
+    ns = np.arange(q, y + 1, q)
+    ns = ns[oracles.omega_table(y)[ns] > threshold]
+    assert arith.reciprocal_sum(ns) == _sequential_sum(ns.tolist())
+
+
+def test_reciprocal_sum_with_repeats_and_weights():
+    rng = random.Random(5)
+    values = [rng.choice([1, 2, 3, 6, 97, 2**24 - 3, 2**24]) for _ in range(500)]
+    weights = [rng.randrange(-10**12, 10**12) for _ in values]
+    assert arith.reciprocal_sum(np.array(values)) == _sequential_sum(values)
+    assert arith.reciprocal_sum(np.array(values), weights) == _sequential_sum(values, weights)
+    assert arith.reciprocal_sum(np.array([6, 6, 3])) == Fraction(2, 3)
+
+
+def test_reciprocal_sum_of_nothing_is_zero():
+    empty = np.array([], dtype=np.int64)
+    assert arith.reciprocal_sum(empty) == 0
+    assert arith.reciprocal_sum(empty, []) == 0
+    assert isinstance(arith.reciprocal_sum(empty), Fraction)
+
+
 def test_tau_trunc_examples():
     assert arith.tau_trunc(1, 10) == 1
     assert arith.tau_trunc(13, 1) == 1

@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,31 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(code, **env):
+    """Stdout of code run in a new interpreter that imports this checkout's
+    linnikbv, with OPENBLAS_NUM_THREADS unset unless given in env."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    full["PYTHONPATH"] = os.pathsep.join(p for p in (src, full.get("PYTHONPATH")) if p)
+    full.update(env)
+    run = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_import_leaves_one_thread():
+    # numpy's BLAS pool would add a thread; the package pins it to one.
+    out = fresh_python("import os, linnikbv; print(len(os.listdir('/proc/self/task')))")
+    assert out.split() == ["1"]
+
+
+def test_preset_blas_thread_count_is_kept():
+    code = "import os, linnikbv; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code).split() == ["1"]
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2").split() == ["2"]
 
 
 def test_primes_csv(capsys):
@@ -286,6 +314,11 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("lemma estimate_b --x 100000000000 --y 100000000000", "bulk cap"),
         # decompose gathers its windows lazily, so it checks X before sieving.
         ("decompose --x 100000000000 --A 1 --override-exponent 2", "bulk cap"),
+        # About 1.8e8 (h, d) terms, counted before any is built; then 16 million
+        # h values whose d ranges are nearly empty.
+        ("lemma hooley15 --x 1000000 --u 999999 --n 12 --which 3", "(h, d) terms"),
+        ("lemma hooley15 --x 20000000 --u 16000000 --omega 0.0001 --n 12 --which 3",
+         "(h, d) terms"),
         ("primes --x 100000000000", "bulk cap"),
         # Every prime stream checks its limit against 0..2^30 before it sieves.
         ("primes --x -5", "streaming limit"),

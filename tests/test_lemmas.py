@@ -232,6 +232,58 @@ def test_hooley15_oracle_values():
         assert got == oracles.hooley15_direct(10, 10, 1.0, 6, 10**4, which)
 
 
+def _hooley15_per_term(u, u_prime, n, which, params):
+    """The Fractions of hooley15_sums's former loop, sigma_-1(d) by trial division per d."""
+    u_exact, up_exact = Fraction(u), Fraction(u_prime)
+    d_end = float(u_exact) * lemmas._log_powers(params.X, 1.0)[1]
+    terms = []
+    h = 1
+    while h <= u_exact:
+        d_lo, d_hi, y_h = u_exact / h, d_end / h, up_exact / h
+        sigma_n = arith.sigma_minus1(n, y_h)
+        d = int(d_lo) + 1
+        while d < d_hi:
+            if which == 2:
+                terms.append(arith.sigma_minus1(d) / (h * d) * sigma_n)
+            else:
+                terms.append(Fraction(h) / u_exact / (h * d))
+            d += 1
+        h += 1
+    return terms
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_hooley15_exact_and_fsum_match_the_per_term_path(which):
+    params = Params(10**4, 0.0)
+    small = _hooley15_per_term(37.5, 80.25, 30, which, params)
+    assert lemmas.hooley15_sums(37.5, 80.25, 1.0, 30, which, params) == sum(small, Fraction(0))
+    # u = 400 builds about 21 600 terms, past the exact-sum cutoff.
+    terms = _hooley15_per_term(400, 400, 12, which, params)
+    assert len(terms) > lemmas.EXACT_SUM_TERM_LIMIT
+    value = lemmas.hooley15_sums(400, 400, 1.0, 12, which, params)
+    assert isinstance(value, float)
+    assert value == math.fsum(float(t) for t in terms)
+
+
+def test_hooley15_term_cap(monkeypatch):
+    params = Params(10**4, 0.0)
+    # Ten h values and their (h, d) terms.
+    count = 10 + len(_hooley15_per_term(10, 10, 6, 3, params))
+    monkeypatch.setattr(lemmas, "HOOLEY15_TERM_LIMIT", count)
+    for which in (1, 2, 3):
+        assert lemmas.hooley15_sums(10, 10, 1.0, 6, which, params) == oracles.hooley15_direct(
+            10, 10, 1.0, 6, 10**4, which
+        )
+    monkeypatch.setattr(lemmas, "HOOLEY15_TERM_LIMIT", count - 1)
+    for which in (1, 2, 3):
+        with pytest.raises(PreconditionError, match=r"\(h, d\) terms"):
+            lemmas.hooley15_sums(10, 10, 1.0, 6, which, params)
+    # u past the cap with nearly empty d ranges: the h values alone exceed it.
+    monkeypatch.setattr(lemmas, "HOOLEY15_TERM_LIMIT", 1000)
+    with pytest.raises(PreconditionError, match=r"\(h, d\) terms"):
+        lemmas.hooley15_sums(1001, 1001, 1e-9, 6, 3, params)
+
+
 def test_hooley15_rejects_bad_selector():
     params = Params(10**4, 0.0)
     with pytest.raises(PreconditionError):

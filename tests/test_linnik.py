@@ -205,7 +205,9 @@ def test_bv_sum_equals_per_modulus_discrepancies():
     # equal the sum of the per-modulus gaps exactly.
     params = Params(10**5, 3.0, 3)
     moduli = linnik._moduli(params)
-    assert len({arith.euler_phi(q) for q in moduli}) < len(moduli)
+    phis = linnik._totients(moduli).tolist()
+    assert phis == [arith.euler_phi(q) for q in moduli]
+    assert len(set(phis)) < len(moduli)
     expected = sum(abs(linnik.discrepancy(10**5, q, 3).discrepancy) for q in moduli)
     assert linnik.bv_sum(params) == expected
 
@@ -335,6 +337,30 @@ def test_sum_r_builds_no_array_over_the_range():
         tracemalloc.stop()
     # Chunk temporaries only: a uint8 weight array over 0..X alone is X + 1 bytes.
     assert peak < 0.75 * (X + 1)
+
+
+def test_discrepancy_builds_no_array_over_the_range():
+    X = 1 << 22
+    sieve.chi_divisor_sums(X // 2)
+    sieve.prime_array(X)
+    tracemalloc.start()
+    try:
+        linnik.discrepancy(X, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Chunk temporaries only, as for sum_r_shifted_primes.
+    assert peak < 0.75 * (X + 1)
+
+
+@pytest.mark.parametrize("q, a", [(1, 1), (3, 1), (4, 3), (97, 5), (200003, 17)])
+def test_discrepancy_chunks_match_the_weight_array(q, a):
+    # 10^6 + 3 spans two REDUCTION_CHUNKs of primes.
+    X = 1_000_003
+    w = linnik._prime_weights(X)
+    row = linnik.discrepancy(X, q, a)
+    assert row.weighted_count == 4 * int(w[a % q :: q].sum())
+    assert row.main_term == Fraction(4 * int(w.sum()), oracles.phi(q))
 
 
 @pytest.mark.parametrize("X", [65537, 3 * 2**16 + 17, 1_000_003])

@@ -362,7 +362,9 @@ def test_totient_and_omega_tables():
     [sieve.TABLE_SEGMENT_LENGTH - 1, sieve.TABLE_SEGMENT_LENGTH,
      sieve.TABLE_SEGMENT_LENGTH + 1, 3 * sieve.TABLE_SEGMENT_LENGTH + 17],
 )
-@pytest.mark.parametrize("name", ["chi_divisor_sums", "totient_table", "omega_table"])
+@pytest.mark.parametrize(
+    "name", ["chi_divisor_sums", "totient_table", "sigma_table", "omega_table"]
+)
 def test_prime_power_tables_match_loop_oracles(name, limit):
     table = getattr(sieve, name)(limit)
     expected = getattr(oracles, name)(limit)
@@ -370,6 +372,30 @@ def test_prime_power_tables_match_loop_oracles(name, limit):
     assert table.dtype == (np.uint8 if name == "chi_divisor_sums" else expected.dtype)
     assert np.array_equal(table, expected)
     assert not table.flags.writeable
+
+
+def test_sigma_table_matches_oracle():
+    limit = 1 << 17
+    table = sieve.sigma_table(limit)
+    assert np.array_equal(table, oracles.sigma_table(limit))
+    assert [int(v) for v in table[1:1001]] == [oracles.sigma(n) for n in range(1, 1001)]
+
+
+def test_sigma_table_at_prime_powers_near_the_bulk_cap():
+    # p^(e+1) passes 2^31 here (4093^3 is about 6.9e10), so an int32 power
+    # in the kernel would wrap.
+    limit = sieve.BULK_TABLE_LIMIT
+    powers = [(2, 24), (3, 15), (5, 10), (7, 8), (13, 6), (23, 5), (61, 4), (251, 3), (4093, 2)]
+    try:
+        table = sieve.sigma_table(limit)
+        for p, e in powers:
+            assert p**e <= limit
+            assert int(table[p**e]) == sum(p**k for k in range(e + 1))
+        # The largest prime below the cap, and twice a prime square near it.
+        assert int(table[16777213]) == 16777214
+        assert int(table[2 * 2879**2]) == 3 * (1 + 2879 + 2879**2)
+    finally:
+        sieve.sigma_table.cache_clear()  # a 128 MB table
 
 
 def test_concurrent_table_construction_is_consistent():
