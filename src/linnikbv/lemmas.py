@@ -24,7 +24,7 @@ import numpy as np
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import REDUCTION_CHUNK, at_shifted_primes, theta0
+from .linnik import _at_primes, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
     Params,
@@ -43,6 +43,10 @@ from .sieve import divisors_of  # noqa: F401  perfbench/tracer.py counts calls h
 Real = Union[int, float, Fraction]
 
 EXACT_SUM_TERM_LIMIT = 20_000
+
+# Entries per step of a reduction over a long array (the terms of an fsum),
+# so that no temporary spans it all; a float64 temporary of one step is 128 KiB.
+REDUCTION_CHUNK = 1 << 14
 
 # Most h values plus (h, d) terms hooley15_sums takes; each term is a Python object.
 HOOLEY15_TERM_LIMIT = 1_000_000
@@ -78,15 +82,24 @@ def _loglog(x: float) -> float:
     return math.log(math.log(x))
 
 
-def _sum_fractions(terms: list[Fraction]) -> Union[Fraction, float]:
-    if len(terms) <= EXACT_SUM_TERM_LIMIT:
-        return sum(terms, Fraction(0))
-    return math.fsum(float(t) for t in terms)
+def _sum_ratios(terms, count: int) -> Union[Fraction, float]:
+    """Sum of t/b over count integer pairs (t, b), b > 0, exact up to the term cutoff.
+
+    Past it, the pairs stream into math.fsum as t / b, correctly rounded
+    like float(Fraction(t, b)), so it has the bytes of a per-term fsum of
+    the Fractions.
+    """
+    if count <= EXACT_SUM_TERM_LIMIT:
+        tops, bottoms = itertools.tee(terms)  # read in step: one pair is buffered
+        return arith.reciprocal_sum((b for _, b in bottoms), (t for t, _ in tops))
+    return math.fsum(t / b for t, b in terms)
 
 
-def _fsum_chunks(chunks) -> float:
+def _fsum_chunks(arr: np.ndarray, f) -> float:
     # fsum is correctly rounded: the chunking cannot change the result.
-    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
+    step = REDUCTION_CHUNK
+    chunks = (f(arr[lo : lo + step]).tolist() for lo in range(0, arr.size, step))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
@@ -97,8 +110,7 @@ def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
     """
     if dens.size <= EXACT_SUM_TERM_LIMIT:
         return arith.reciprocal_sum(dens)
-    step = REDUCTION_CHUNK
-    return _fsum_chunks(1.0 / dens[lo : lo + step] for lo in range(0, dens.size, step))
+    return _fsum_chunks(dens, lambda c: 1.0 / c)
 
 
 def _log_powers(x: int, omega: float) -> tuple[float, float]:
@@ -117,7 +129,7 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
     both sides: the d of open_range(lo, hi).  The window spans 0..(X - 1) // 2
-    and at_shifted_primes reads it at the primes.  Exact.
+    and _at_primes reads it at the primes.  Exact.
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
@@ -126,7 +138,9 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     lo = math.sqrt(X) * shrink
     hi = math.sqrt(X) * stretch
     win = _chi_divisor_window((X - 1) // 2, *open_range(lo, hi))
-    return sum(int(np.abs(w).sum()) for _, w in at_shifted_primes(win, X))
+    half, mask, two = _at_primes(win, X)
+    odd = half[mask]
+    return abs(two) + int(np.abs(odd, out=odd).sum())
 
 
 def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
@@ -198,8 +212,7 @@ def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
         return sum((c * alpha_frac**k for k, c in enumerate(counts)), Fraction(0))
     af = float(alpha_frac)
     powers = np.array([af**k for k in range(int(om.max()) + 1)])
-    step = REDUCTION_CHUNK
-    return _fsum_chunks(powers[om[lo : lo + step]] for lo in range(0, y, step))
+    return _fsum_chunks(om, lambda c: powers[c])
 
 
 def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, float]:
@@ -257,8 +270,8 @@ def hooley14_partial(
     terms = []
     for l in range(max(math.ceil(y), 1), L + 1):
         if l % 2 and gcd(l, ns) == 1:
-            terms.append(Fraction(arith.chi(l), arith.euler_phi(r * s * l)))
-    return _sum_fractions(terms)
+            terms.append((arith.chi(l), arith.euler_phi(r * s * l)))
+    return _sum_ratios(terms, len(terms))
 
 
 def hooley15_sums(
@@ -276,7 +289,8 @@ def hooley15_sums(
     The u/h and u'/h thresholds are exact rationals; only the (log X)^omega
     stretch factor is floating point.  The h values and (h, d) terms are
     counted from the d ranges before any term is built; more than
-    HOOLEY15_TERM_LIMIT is a precondition error.
+    HOOLEY15_TERM_LIMIT is a precondition error.  which = 2 and 3 take each
+    term as a pair of integers for _sum_ratios.
     """
     if not 1 < u < params.X:
         raise PreconditionError(f"hooley15_sums requires 1 < u < X, got u={u}")
@@ -308,24 +322,27 @@ def hooley15_sums(
             f"hooley15 would take more than {HOOLEY15_TERM_LIMIT} h values and (h, d) terms; "
             "lower u or omega"
         )
-    float_terms: list[float] = []
-    frac_terms: list[Fraction] = []
+    if which == 1:
+        float_terms: list[float] = []
+        for h, ds in h_ranges():
+            y_h = up_exact / h
+            float_terms.extend(arith.r_envelope(n, h, d, y_h) for d in ds)
+        return math.fsum(float_terms)
     if which == 2:
         sigma = sigma_table(math.floor(d_end))  # every d < d_end
-    for h, ds in h_ranges():
-        y_h = up_exact / h
-        if which == 1:
-            float_terms.extend(arith.r_envelope(n, h, d, y_h) for d in ds)
-        elif which == 2:
-            # sigma_-1(d)/(hd) * sigma_-1(n, u'/h) = sigma(d) a_h / (d^2 b_h)
-            a_h, b_h = (arith.sigma_minus1(n, y_h) / h).as_integer_ratio()
-            sds = sigma[ds.start : ds.stop].tolist()
-            frac_terms.extend(Fraction(sd * a_h, d * d * b_h) for d, sd in zip(ds, sds))
-        else:
-            frac_terms.extend(Fraction(h) / u_exact / (h * d) for d in ds)
-    if which == 1:
-        return math.fsum(float_terms)
-    return _sum_fractions(frac_terms)
+    num, den = u_exact.as_integer_ratio()
+
+    def ratios():
+        for h, ds in h_ranges():
+            if which == 2:
+                # sigma_-1(d)/(hd) * sigma_-1(n, u'/h) = sigma(d) a_h / (d^2 b_h)
+                a_h, b_h = (arith.sigma_minus1(n, up_exact / h) / h).as_integer_ratio()
+                sds = sigma[ds.start : ds.stop].tolist()
+                yield from ((sd * a_h, d * d * b_h) for d, sd in zip(ds, sds))
+            else:
+                yield from ((den, num * d) for d in ds)  # (h/u)(1/(hd)) = den/(num d)
+
+    return _sum_ratios(ratios(), sum(len(ds) for _, ds in h_ranges()))
 
 
 def murty_sum(X: int) -> Union[Fraction, float]:

@@ -22,15 +22,9 @@ from .sieve import (
     chi_divisor_sums,
     chi_range_sums,
     iter_prime_segments,
-    odd_part,
-    prime_array,
+    odd_prime_mask,
     totient_table,
 )
-
-# Entries per step of a reduction over a long array (the primes read by
-# at_shifted_primes, the terms of an fsum), so that no temporary spans it
-# all; an int64 temporary of one step is 128 KiB.
-REDUCTION_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,11 +69,12 @@ def theta0() -> float:
 
 
 def sum_r_shifted_primes(X: int) -> int:
-    """Exact sum over primes p <= X of r(p - 1) = 4 * the chi table read by at_shifted_primes."""
+    """Exact sum over primes p <= X of r(p - 1) = 4 * the chi table read by _at_primes."""
     if X < 2:
         raise PreconditionError(f"sum_r_shifted_primes requires X >= 2, got {X}")
     check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
-    return 4 * sum(int(b.sum()) for _, b in at_shifted_primes(chi_divisor_sums(X // 2), X))
+    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
+    return 4 * (two + int(half[mask].sum()))
 
 
 def linnik_constant(tolerance: float) -> LinnikConstant:
@@ -110,14 +105,15 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
         factors /= den
         factors += 1.0
         acc *= float(np.prod(factors))
+        del den, factors  # before the next segment is sieved
     return LinnikConstant(math.pi * acc, bound, 1.0 / bound)
 
 
 def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
     """Exact r-weighted count over p = a (q), its main term, and their gap.
 
-    The class sum and the total both add up at_shifted_primes chunks, as
-    sum_r_shifted_primes does, so no array spans 0..X.
+    The class sum and the total are both masked gathers of the chi table,
+    as in sum_r_shifted_primes, so no array spans 0..X.
     """
     if X < 2:
         raise PreconditionError(f"discrepancy requires X >= 2, got {X}")
@@ -126,39 +122,29 @@ def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
     check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
-    phi = arith.euler_phi(q)  # q <= 2**40 from here on, so p % q fits int64
-    weighted = total = 0
-    for p, b in at_shifted_primes(chi_divisor_sums(X // 2), X):
-        weighted += 4 * int(b[p % q == a % q].sum())
-        total += 4 * int(b.sum())
-    main = Fraction(total, phi)
+    phi = arith.euler_phi(q)  # a q past the trial-division limit fails before any sieving
+    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
+    weighted = 4 * next(_class_sums(half, two, a, [q], mask))
+    main = Fraction(4 * (two + int(half[mask].sum())), phi)
     return DiscrepancyRow(q, a, weighted, main, weighted - main)
 
 
-def at_shifted_primes(table: np.ndarray, X: int):
-    """Yield (p, table[odd_part(p - 1)]) for the primes p <= X, REDUCTION_CHUNK at a time.
+def _at_primes(arr: np.ndarray, X: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(arr[:n], odd_prime_mask(X), arr[1]): a chi array over m = 0..X // 2 read at the primes <= X.
 
-    odd_part(p - 1) is at most (X - 1)/2, and chi(d) = 0 at even d, so every
-    chi-divisor sum at p - 1 is its value there.
+    chi(d) = 0 at even d, so a chi-divisor sum b has b(2m) = b(m), and an
+    odd prime p reads b((p - 1)/2), entry m of the n = (X + 1) // 2 that the
+    mask covers; at even X, entry X/2 would be p = X + 1.  p = 2 reads b(1).
     """
-    primes = prime_array(X)
-    for lo in range(0, len(primes), REDUCTION_CHUNK):
-        p = primes[lo : lo + REDUCTION_CHUNK]
-        yield p, table[odd_part(p - 1)]
+    mask = odd_prime_mask(X)
+    return arr[: mask.size], mask, int(arr[1])
 
 
-def _by_prime(table: np.ndarray, X: int) -> np.ndarray:
-    """at_shifted_primes laid out by p over 0..X in table's dtype, 0 off the primes."""
-    col = np.zeros(X + 1, dtype=table.dtype)
-    for p, values in at_shifted_primes(table, X):
-        col[p] = values
-    return col
-
-
-def _prime_weights(X: int) -> np.ndarray:
-    """uint8 w over 0..X with w[p] = r(p - 1)/4, at most 48 below the cap, at primes p, else 0."""
-    check_bulk_limit(X)  # on X, the length of w, before any sieving
-    return _by_prime(chi_divisor_sums(X // 2), X)
+def _masked(window: np.ndarray, X: int) -> tuple[np.ndarray, int]:
+    """_at_primes's column of a fresh window, zeroed in place off the odd primes, and its value at 2."""
+    col, mask, two = _at_primes(window, X)
+    col *= mask
+    return col, two
 
 
 def _moduli(params: Params) -> list[int]:
@@ -170,18 +156,35 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
 
 
-def _gap_sum(col: np.ndarray, a: int, moduli: list[int]) -> Fraction:
-    """Exact sum over the moduli q of |col[a % q :: q].sum() - col.sum()/phi(q)|.
+def _class_sums(col: np.ndarray, two: int, a: int, moduli: list[int], mask=None):
+    """Yield, for each modulus q, the sum of a chi array over the primes p = a (mod q), (a, q) = 1.
 
-    col is laid out by p, as _by_prime returns it, so each residue
-    class a mod q is one strided sum and the whole average costs about
-    X log Q reads.  |W_q - T/phi| = |W_q phi - T| / phi, so the integer
-    gaps are summed exactly by arith.reciprocal_sum over their phi(q).
+    col is laid out by m = (p - 1)/2, as _at_primes reads it, and is 0 off
+    the odd primes unless their mask is given.  2m + 1 = a (mod q) is
+    m = (a - 1)(q + 1)/2 (mod q) for odd q, where (q + 1)/2 inverts 2, and
+    m = (a - 1)/2 (mod q/2) for even q and odd a: one strided sum, plus
+    two, the value at p = 2, when 2 = a (mod q).
     """
-    total = int(col.sum())
+    for q in moduli:
+        if q % 2:
+            odd = slice((a - 1) * (q + 1) // 2 % q, None, q)
+        else:
+            odd = slice((a - 1) // 2 % (q // 2), None, q // 2)
+        vals = col[odd] if mask is None else col[odd][mask[odd]]
+        yield int(vals.sum()) + two * ((2 - a) % q == 0)
+
+
+def _gap_sum(col: np.ndarray, two: int, a: int, moduli: list[int]) -> Fraction:
+    """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q from _class_sums and T the total.
+
+    The whole average costs about (X/2) log Q reads.  |W_q - T/phi| =
+    |W_q phi - T| / phi, so the integer gaps are summed exactly by
+    arith.reciprocal_sum over their phi(q).
+    """
+    total = int(col.sum()) + two
     phis = _totients(moduli)
     gaps = (
-        abs(int(col[a % q :: q].sum()) * phi - total) for q, phi in zip(moduli, map(int, phis))
+        abs(w * phi - total) for w, phi in zip(_class_sums(col, two, a, moduli), map(int, phis))
     )
     return arith.reciprocal_sum(phis, gaps)
 
@@ -194,7 +197,10 @@ def _totients(moduli: list[int]) -> np.ndarray:
 def bv_sum(params: Params) -> Fraction:
     """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|, exactly."""
     moduli = _moduli(params)
-    return 4 * _gap_sum(_prime_weights(params.X), params.a, moduli)
+    X = params.X
+    check_bulk_limit(X)  # before any sieving
+    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
+    return 4 * _gap_sum(half * mask, two, params.a, moduli)
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -230,8 +236,8 @@ def decompose(params: Params) -> DecompositionResult:
     divisor ranges; S3 carries 1/phi(q) outside an absolute value taken
     per prime over the middle range; S4 is the progression-restricted
     middle-range sum with no main term subtracted.  The three int16 chi
-    windows span 0..X // 2 and are built one at a time; each is laid out
-    by p with _by_prime and read like the prime weights.  The lhs is bv_sum.
+    windows span 0..X // 2 and are built one at a time; each is masked in
+    place by _masked and read by the class sums of bv_sum.  The lhs is bv_sum.
     """
     if params.D < 2:
         raise PreconditionError(
@@ -244,11 +250,11 @@ def decompose(params: Params) -> DecompositionResult:
     # Each window is a bare next() result, so none outlives its column,
     # and the chi table behind the lhs is built only once they are gone.
     windows = chi_range_sums(X // 2, params.D, X / params.D)
-    S1 = _gap_sum(_by_prime(next(windows), X), a, moduli)
-    mid = _by_prime(next(windows), X)
-    S4 = Fraction(sum(abs(int(mid[a % q :: q].sum())) for q in moduli))
-    mid_abs = int(np.abs(mid, out=mid).sum())
+    S1 = _gap_sum(*_masked(next(windows), X), a, moduli)
+    mid, two = _masked(next(windows), X)
+    S4 = Fraction(sum(abs(w) for w in _class_sums(mid, two, a, moduli)))
+    mid_abs = abs(two) + int(np.abs(mid, out=mid).sum())
     del mid
     S3 = mid_abs * arith.reciprocal_sum(_totients(moduli))
-    S2 = _gap_sum(_by_prime(next(windows), X), a, moduli)
+    S2 = _gap_sum(*_masked(next(windows), X), a, moduli)
     return DecompositionResult(S1, S2, S3, S4, bv_sum(params), params)

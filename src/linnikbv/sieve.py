@@ -15,9 +15,11 @@ BULK_TABLE_LIMIT), while every working array is at most one kernel segment
 import.  Every chi-divisor array comes from one window kernel as a
 whole-range array under the same cap, by strided slice adds alone: int16
 windows, chi_range_sums's three built one at a time, and the uint8 full
-table, whose sums are 0..48.  Since chi vanishes at even d, each is read
-at the primes at the odd part of p - 1 (linnik.at_shifted_primes), so it
-spans half the range.  The squarefree-prime product P is never
+table, whose sums are 0..48.  Since chi vanishes at even d, b(2m) = b(m),
+so each spans half the range and an odd prime p reads it at (p - 1)/2,
+under odd_prime_mask: one byte per odd number, from the segments' striking
+loop.  A segment's mask dies once its primes are read off; odd_prime_mask
+is cached like prime_array.  The squarefree-prime product P is never
 formed; only its prime support below the smoothness bound Y is stored.
 No prime stream goes past STREAM_LIMIT = 2**30.
 """
@@ -60,18 +62,27 @@ def _check_segment_length(segment_length: int) -> int:
     return segment_length
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
+def _odd_mask(first: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """bool over the odd numbers from first (odd) below hi, true at the primes and at 1.
 
-    The mask holds the odd numbers only; each odd base prime strikes its odd
-    multiples from max(p^2, lo), and 2 is added when the segment starts at 2.
+    Each odd prime of base, the primes <= sqrt(hi - 1), strikes its odd
+    multiples from max(p^2, first).
     """
-    first = lo | 1
     mask = np.ones((hi - first + 1) // 2, dtype=bool)
     for p in base[1:].tolist():
         start = max(p * p, ((first + p - 1) // p | 1) * p)
         mask[(start - first) // 2 :: p] = False
-    primes = np.flatnonzero(mask)
+    return mask
+
+
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
+
+    The odd primes are read off _odd_mask, which dies here, and 2 is added
+    when the segment starts at 2.
+    """
+    first = lo | 1
+    primes = np.flatnonzero(_odd_mask(first, hi, base))
     primes *= 2
     primes += first
     return np.insert(primes, 0, 2) if lo == 2 else primes
@@ -111,6 +122,15 @@ def iter_prime_segments(
 def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
     """Exactly the primes <= limit, ascending."""
     return [p for seg in iter_prime_segments(limit, segment_length) for p in seg.tolist()]
+
+
+@lru_cache(maxsize=8)
+def odd_prime_mask(limit: int) -> np.ndarray:
+    """Cached read-only bool array over m = 0..(limit - 1) // 2, true where 2m + 1 is prime."""
+    mask = _odd_mask(1, limit + 1, _base_primes(isqrt(limit)))
+    mask[:1] = False  # 1 is not prime
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=8)
@@ -366,17 +386,12 @@ def chi_divisor_sums(limit: int) -> np.ndarray:
     """uint8 array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
 
     The window of _chi_divisor_window over every d, cached and read-only;
-    r(n) = 4 * b[n], and b[n] = b[odd_part(n)] since chi(d) = 0 at even d.
+    r(n) = 4 * b[n], and b[2n] = b[n] since chi(d) = 0 at even d.
     Built mod 256, which is exact since every b[n] is in 0..48 below the cap.
     """
     b = _chi_divisor_window(limit, 1, limit, np.uint8)
     b.flags.writeable = False
     return b
-
-
-def odd_part(n):
-    """n with every factor 2 divided out, for an int or integer array n >= 1."""
-    return n // (n & -n)
 
 
 def open_range(lo: float, hi: float) -> tuple[int, int]:

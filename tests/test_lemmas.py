@@ -54,6 +54,20 @@ def test_hooley1_matches_direct_scan(omega):
     assert lemmas.hooley1_lhs(10**4, omega) == hooley1_direct(10**4, omega)
 
 
+def test_hooley1_counts_p2_when_d1_is_in_the_window():
+    # sqrt(1000)(log 1000)^-5 < 1, so d = 1 is in the window, and p = 2,
+    # which has no entry under the odd-prime mask, adds |w[1]| = 1.
+    X, omega = 10**3, 5.0
+    hi = math.sqrt(X) * math.log(X) ** omega
+    assert math.sqrt(X) * math.log(X) ** -omega < 1
+    assert lemmas.hooley1_lhs(X, omega) == hooley1_direct(X, omega)
+    odd = sum(
+        abs(sum(oracles.chi(d) for d in oracles.divisors(p - 1) if d < hi))
+        for p in oracles.primes(X)[1:]
+    )
+    assert lemmas.hooley1_lhs(X, omega) == 1 + odd
+
+
 def test_brun_titchmarsh_examples():
     count, bound, holds = lemmas.brun_titchmarsh_check(100, 3, 1)
     assert (count, holds) == (11, True)
@@ -263,6 +277,32 @@ def test_hooley15_exact_and_fsum_match_the_per_term_path(which):
     value = lemmas.hooley15_sums(400, 400, 1.0, 12, which, params)
     assert isinstance(value, float)
     assert value == math.fsum(float(t) for t in terms)
+
+
+@pytest.mark.parametrize("which", [2, 3])
+@pytest.mark.parametrize("u", [37, 37.5])
+def test_hooley15_exact_branch_matches_oracle(which, u):
+    # An integer u and a binary-fraction u, below the exact-sum cutoff.
+    params = Params(10**4, 0.0)
+    value = lemmas.hooley15_sums(u, 2 * u, 1.0, 30, which, params)
+    assert isinstance(value, Fraction)
+    assert value == oracles.hooley15_direct(u, 2 * u, 1.0, 30, 10**4, which)
+
+
+# which = 2 at the integer u = 400 is the per-term test above.
+@pytest.mark.parametrize("which, u", [(2, 400.5), (3, 400), (3, 400.5)])
+def test_hooley15_fsum_branch_matches_oracle(which, u):
+    # Past the cutoff each term is an int / int division, correctly rounded
+    # like float(Fraction): the bytes of the per-term fsum, and within the
+    # fsum's rounding of the exact oracle sum.
+    params = Params(10**4, 0.0)
+    terms = _hooley15_per_term(u, u, 12, which, params)
+    assert len(terms) > lemmas.EXACT_SUM_TERM_LIMIT
+    value = lemmas.hooley15_sums(u, u, 1.0, 12, which, params)
+    assert isinstance(value, float)
+    assert value == math.fsum(float(t) for t in terms)
+    exact = float(oracles.hooley15_direct(u, u, 1.0, 12, 10**4, which))
+    assert value == pytest.approx(exact, rel=1e-14)
 
 
 def test_hooley15_term_cap(monkeypatch):

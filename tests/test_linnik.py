@@ -43,11 +43,16 @@ def test_sum_r_counts_a_prime_endpoint():
     assert linnik.sum_r_shifted_primes(X) == expected == 3392
 
 
-def test_sum_r_frozen_value_over_two_weight_chunks():
-    # 78 498 primes: the weight array is filled in two chunks.
-    assert len(sieve.prime_array(10**6)) > linnik.REDUCTION_CHUNK
+def test_sum_r_frozen_value_at_a_million():
     # Frozen from a direct gather of the chi table at the primes.
     assert linnik.sum_r_shifted_primes(10**6) == 208236
+
+
+@pytest.mark.parametrize("X", [2, 3, 4, 5, 16, 17])
+def test_sum_r_small_X_against_lattice_oracle(X):
+    # X = 2 is p = 2 alone, read at b(1); even X leaves out entry X/2 (p = X + 1).
+    expected = sum(oracles.r_lattice(p - 1) for p in oracles.primes(X))
+    assert linnik.sum_r_shifted_primes(X) == expected
 
 
 def test_linnik_constant_single_factor():
@@ -279,32 +284,36 @@ def test_decompose_second_oracle_point(X, A, a, exponent):
     assert (result.S1, result.S2, result.S3, result.S4) == expected
 
 
-@pytest.mark.parametrize("X", [65537, 3 * 2**16 + 17, 1_000_003])
-def test_prime_weights_read_at_odd_part_match_full_table(X):
-    # 65537 is prime and one past a kernel segment; 10^6 + 3 is prime and
-    # pi(10^6 + 3) = 78498 + 1 crosses a REDUCTION_CHUNK edge.
+@pytest.mark.parametrize("X", [65537, 65538, 3 * 2**16 + 17, 1_000_003])
+def test_prime_weights_read_under_the_mask_match_full_table(X):
+    # 65537 is prime and one past a kernel segment; at 65538 the chi table
+    # has one entry, m = X/2 (p = X + 1), past the mask.
     full = oracles.chi_divisor_sums(X)
     primes = sieve.prime_array(X)
-    w = linnik._prime_weights(X)
+    half, mask, two = linnik._at_primes(sieve.chi_divisor_sums(X // 2), X)
     assert primes[:2].tolist() == [2, 3]
-    assert np.array_equal(w[primes], full[primes - 1])
-    assert int(w.sum()) == int(full[primes - 1].sum())  # 0 off the primes
+    assert two == full[1]
+    assert np.array_equal(np.flatnonzero(mask), (primes[1:] - 1) // 2)
+    assert np.array_equal(half[mask], full[primes[1:] - 1])
+    col = half * mask
+    assert int(col.sum()) + two == int(full[primes - 1].sum())  # 0 off the primes
 
 
 def test_prime_weights_hold_a_byte_chi_table():
     X = 1 << 20
     sieve.chi_divisor_sums.cache_clear()
-    sieve.prime_array.cache_clear()
+    sieve.odd_prime_mask.cache_clear()
     tracemalloc.start()
     try:
-        linnik._prime_weights(X)
+        linnik.bv_sum(Params(X, 1.0, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The uint8 weights (X bytes), the cached uint8 chi table (X/2 bytes),
-    # the int64 primes and the sieve's working arrays; an int32 chi table
-    # alone would add 1.5 X bytes.
-    assert peak < 4.4 * (X + 1)
+    # bv_sum builds the cached uint8 chi table over 0..X/2 (X/2 bytes), the
+    # cached bool mask over the odd numbers (X/2 bytes) and the uint8 column
+    # table * mask (X/2 bytes): about 1.5 X bytes, with the sieve's and the
+    # kernel's small working arrays.
+    assert peak < 2 * (X + 1)
 
 
 def test_decompose_holds_one_window_at_a_time():
@@ -313,67 +322,100 @@ def test_decompose_holds_one_window_at_a_time():
     # Cached tables are built first, so only decompose's own arrays count;
     # bv_sum reads the chi table over 0..X // 2.
     sieve.chi_divisor_sums(X // 2)
-    sieve.prime_array(X)
+    sieve.odd_prime_mask(X)
     tracemalloc.start()
     try:
         linnik.decompose(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One int16 window over 0..X // 2 (X bytes) and its int16 column by p
-    # (2X bytes), below one int32 window over 0..X.
-    assert peak < 4 * (X + 1)
+    # One int16 window over 0..X // 2 (X bytes), masked in place, then
+    # bv_sum's uint8 column (X/2 bytes) once the windows are gone; two
+    # windows alive at once would be 2X bytes.
+    assert peak < 2 * (X + 1)
 
 
 def test_sum_r_builds_no_array_over_the_range():
     X = 1 << 22
     sieve.chi_divisor_sums(X // 2)
-    sieve.prime_array(X)
+    sieve.odd_prime_mask(X)
     tracemalloc.start()
     try:
         linnik.sum_r_shifted_primes(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Chunk temporaries only: a uint8 weight array over 0..X alone is X + 1 bytes.
+    # The uint8 gather at the odd primes only, pi(X) bytes (0.07 X here);
+    # a uint8 weight array over 0..X alone is X + 1 bytes.
     assert peak < 0.75 * (X + 1)
 
 
 def test_discrepancy_builds_no_array_over_the_range():
     X = 1 << 22
     sieve.chi_divisor_sums(X // 2)
-    sieve.prime_array(X)
+    sieve.odd_prime_mask(X)
     tracemalloc.start()
     try:
         linnik.discrepancy(X, 3, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Chunk temporaries only, as for sum_r_shifted_primes.
+    # Two uint8 gathers, the total's (pi(X) bytes) and the class's (fewer),
+    # as for sum_r_shifted_primes.
     assert peak < 0.75 * (X + 1)
 
 
 @pytest.mark.parametrize("q, a", [(1, 1), (3, 1), (4, 3), (97, 5), (200003, 17)])
-def test_discrepancy_chunks_match_the_weight_array(q, a):
-    # 10^6 + 3 spans two REDUCTION_CHUNKs of primes.
+def test_discrepancy_matches_the_full_table_at_the_primes(q, a):
+    # 10^6 + 3 is prime; 200003 is a modulus past half of X.
     X = 1_000_003
-    w = linnik._prime_weights(X)
+    primes = sieve.prime_array(X)
+    weights = oracles.chi_divisor_sums(X)[primes - 1]
     row = linnik.discrepancy(X, q, a)
-    assert row.weighted_count == 4 * int(w[a % q :: q].sum())
-    assert row.main_term == Fraction(4 * int(w.sum()), oracles.phi(q))
+    assert row.weighted_count == 4 * int(weights[primes % q == a % q].sum())
+    assert row.main_term == Fraction(4 * int(weights.sum()), oracles.phi(q))
 
 
-@pytest.mark.parametrize("X", [65537, 3 * 2**16 + 17, 1_000_003])
-def test_half_range_windows_by_prime_match_full_windows(X):
-    # Windows over 0..X // 2 cut at D and X/D of the full X, read at the odd
-    # part of p - 1, against the full windows read at p - 1.  D < sqrt(X) <
-    # X/D keeps all three nonempty; 10^6 + 3 crosses a REDUCTION_CHUNK edge.
+@pytest.mark.parametrize("X", [65537, 65538, 3 * 2**16 + 17, 1_000_003])
+def test_half_range_windows_masked_match_full_windows(X):
+    # Windows over 0..X // 2 cut at D and X/D of the full X, masked at
+    # m = (p - 1)/2, against the full windows read at p - 1.  D < sqrt(X) <
+    # X/D keeps all three nonempty.
     D = 20.3
     primes = sieve.prime_array(X)
     assert primes[:2].tolist() == [2, 3]
     windows = sieve.chi_range_sums(X // 2, D, X / D)
     for got, want in zip(windows, oracles.chi_range_sums(X, D)):
-        col = linnik._by_prime(got, X)
-        assert col.dtype == np.int16 and want[primes - 1].any()
-        assert np.array_equal(col[primes], want[primes - 1])
-        assert np.count_nonzero(col) == np.count_nonzero(want[primes - 1])  # 0 off the primes
+        col, two = linnik._masked(got, X)
+        at_primes = want[primes - 1]
+        assert col.dtype == np.int16 and at_primes.any()
+        assert two == at_primes[0]
+        assert np.array_equal(col[(primes[1:] - 1) // 2], at_primes[1:])
+        assert np.count_nonzero(col) == np.count_nonzero(at_primes[1:])  # 0 off the primes
+
+
+# p = 2 is in the class 2 mod every odd q; an even q takes stride q/2 over
+# m = (p - 1)/2, and q = 1, 2 take stride 1.
+P2_CLASSES = [(1, 2), (3, 2), (5, 2), (9, 2), (2, 1), (4, 3), (6, 5), (52, 1), (52, 27)]
+
+
+@pytest.mark.parametrize("X", [1000, 1001, 10**4, 10**4 + 1])
+@pytest.mark.parametrize("q, a", P2_CLASSES)
+def test_discrepancy_class_starts_and_p2(X, q, a):
+    row = linnik.discrepancy(X, q, a)
+    assert (row.weighted_count, row.main_term) == _discrepancy_oracle(X, q, a)
+
+
+@pytest.mark.parametrize("X", [10**4, 10**4 + 1])
+@pytest.mark.parametrize("a", [1, 2])
+def test_bv_sum_class_starts_and_p2(X, a):
+    # Q = (log X)^2 is about 85: q = 1, 2 and strides q/2 up to 42 at a = 1,
+    # and every odd q holding p = 2 at a = 2.
+    assert linnik.bv_sum(Params(X, 2.0, a)) == oracles.bv_sum_direct(X, 2.0, a)
+
+
+@pytest.mark.parametrize("X", [10**4, 10**4 + 1])
+def test_decompose_at_a_2_holds_p2_in_every_class(X):
+    result = linnik.decompose(Params(X, 2.0, 2, override_exponent=1.0))
+    expected = oracles.decompose_direct(X, 2.0, 2, 1.0)
+    assert (result.S1, result.S2, result.S3, result.S4) == expected

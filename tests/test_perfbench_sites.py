@@ -19,8 +19,10 @@ from linnikbv import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Retired with the SPF disk cache; the tracer lists it as missing.
-RETIRED = {("lemmas", "factor_table_cached")}
+# Retired with the SPF disk cache, and when linnik came to read the chi
+# arrays at the primes through the odd-prime mask; the tracer lists them
+# as missing.
+RETIRED = {("lemmas", "factor_table_cached"), ("linnik", "prime_array")}
 
 
 def _load(name):

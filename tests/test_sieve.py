@@ -77,6 +77,22 @@ def test_prime_segment_shape_pinned():
     _assert_segment_shape(10**6 + 7)
 
 
+def _assert_odd_prime_mask(limit):
+    mask = sieve.odd_prime_mask(limit)
+    assert mask.dtype == bool and not mask.flags.writeable
+    assert mask.tolist() == [oracles.is_prime(2 * m + 1) for m in range((limit - 1) // 2 + 1)]
+
+
+def test_odd_prime_mask_matches_is_prime():
+    # Entry m stands for 2m + 1: m = 0 (the unit 1) is off, and the last
+    # entry is the largest odd number <= limit.
+    for limit in range(2, 401):
+        _assert_odd_prime_mask(limit)
+    for p in (23, 31, 97, 211):
+        for limit in (p * p - 1, p * p, p * p + 1):
+            _assert_odd_prime_mask(limit)
+
+
 def test_zero_segment_length_rejected():
     with pytest.raises(ConfigurationError):
         sieve.primes_up_to(100, segment_length=0)
