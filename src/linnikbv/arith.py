@@ -11,6 +11,7 @@ an exact sum over a table needs no per-term Fraction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -135,15 +136,13 @@ def crt_l(a1: Residue, a2: Residue) -> Optional[Residue]:
     return Residue((v1 + d * t) % lcm, lcm)
 
 
-def sigma_minus1(n: int, y: Optional[Real] = None) -> Fraction:
-    """Sum of 1/d over divisors d of n, restricted to d > y when y is given."""
+def sigma_minus1(n: int, y: Optional[Real] = None, divs: Optional[list[int]] = None) -> Fraction:
+    """Sum of 1/d over the divisors d > y of n (all of them without y); divs as for tau_trunc."""
     if n < 1:
         raise PreconditionError(f"sigma_minus1 requires n >= 1, got {n}")
-    total = Fraction(0)
-    for d in divisors(n):
-        if y is None or d > y:
-            total += Fraction(1, d)
-    return total
+    divs = divisors(n) if divs is None else divs
+    tail = divs if y is None else divs[bisect_right(divs, y) :]
+    return Fraction(sum(n // d for d in tail), n)
 
 
 def reciprocal_sum(values: np.ndarray, weights=None) -> Fraction:
@@ -181,11 +180,11 @@ def _add_ratios(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
 
 
-def tau_trunc(n: int, y: Real) -> int:
-    """Number of divisors of n that do not exceed y."""
+def tau_trunc(n: int, y: Real, divs: Optional[list[int]] = None) -> int:
+    """Number of divisors of n that do not exceed y; divs, when given, is divisors(n)."""
     if n < 1:
         raise PreconditionError(f"tau_trunc requires n >= 1, got {n}")
-    return sum(1 for d in divisors(n) if d <= y)
+    return bisect_right(divisors(n) if divs is None else divs, y)
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +203,11 @@ def tau_k(n: int, k: int) -> int:
     return sum(tau_k(d, k - 1) for d in divisors(n))
 
 
-def r_envelope(n: int, r: int, s: int, y: Real) -> float:
-    """Divisor-sum envelope (log 2y)/y * tau_2(s)/(r s) * tau(n, y)."""
+def r_envelope(n: int, r: int, s: int, y: Real, divs: Optional[list[int]] = None) -> float:
+    """Divisor-sum envelope (log 2y)/y * tau_2(s)/(r s) * tau(n, y); divs as for tau_trunc."""
     if n < 1 or r < 1 or s < 1:
         raise PreconditionError("r_envelope requires n, r, s >= 1")
     yf = float(y)
     if yf <= 0:
         raise PreconditionError("r_envelope requires y > 0")
-    return math.log(2.0 * yf) / yf * (tau_k(s, 2) / (r * s)) * tau_trunc(n, y)
+    return math.log(2.0 * yf) / yf * (tau_k(s, 2) / (r * s)) * tau_trunc(n, y, divs)

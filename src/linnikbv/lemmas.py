@@ -24,12 +24,12 @@ import numpy as np
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import _at_primes, theta0
+from .linnik import sums_at_primes, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
     Params,
-    _chi_divisor_window,
     check_bulk_limit,
+    check_stream_limit,
     f_enveloping,
     iter_prime_segments,
     omega_table,
@@ -128,19 +128,16 @@ def hooley1_lhs(X: int, omega: float = 1.0) -> int:
     """Sum over p <= X of |sum of chi over divisors of p-1 in the middle window|.
 
     The window is sqrt(X)(log X)^-omega < d < sqrt(X)(log X)^omega, open on
-    both sides: the d of open_range(lo, hi).  The window spans 0..(X - 1) // 2
-    and _at_primes reads it at the primes.  Exact.
+    both sides: the d of open_range(lo, hi).  sums_at_primes streams it one
+    block of the primes at a time.  Exact.
     """
     if X < 16:
         raise PreconditionError(f"hooley1_lhs requires X >= 16, got {X}")
-    check_bulk_limit(X - 1)  # every p - 1 is at most X - 1
+    check_stream_limit(X)
     shrink, stretch = _log_powers(X, omega)
     lo = math.sqrt(X) * shrink
     hi = math.sqrt(X) * stretch
-    win = _chi_divisor_window((X - 1) // 2, *open_range(lo, hi))
-    half, mask, two = _at_primes(win, X)
-    odd = half[mask]
-    return abs(two) + int(np.abs(odd, out=odd).sum())
+    return sums_at_primes(X, 1, [], [open_range(lo, hi)])[0].abs_total
 
 
 def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
@@ -322,11 +319,12 @@ def hooley15_sums(
             f"hooley15 would take more than {HOOLEY15_TERM_LIMIT} h values and (h, d) terms; "
             "lower u or omega"
         )
+    divs = arith.divisors(n) if which < 3 else None  # scanned once; each h bisects it at u'/h
     if which == 1:
         float_terms: list[float] = []
         for h, ds in h_ranges():
             y_h = up_exact / h
-            float_terms.extend(arith.r_envelope(n, h, d, y_h) for d in ds)
+            float_terms.extend(arith.r_envelope(n, h, d, y_h, divs) for d in ds)
         return math.fsum(float_terms)
     if which == 2:
         sigma = sigma_table(math.floor(d_end))  # every d < d_end
@@ -336,7 +334,7 @@ def hooley15_sums(
         for h, ds in h_ranges():
             if which == 2:
                 # sigma_-1(d)/(hd) * sigma_-1(n, u'/h) = sigma(d) a_h / (d^2 b_h)
-                a_h, b_h = (arith.sigma_minus1(n, up_exact / h) / h).as_integer_ratio()
+                a_h, b_h = (arith.sigma_minus1(n, up_exact / h, divs) / h).as_integer_ratio()
                 sds = sigma[ds.start : ds.stop].tolist()
                 yield from ((sd * a_h, d * d * b_h) for d, sd in zip(ds, sds))
             else:

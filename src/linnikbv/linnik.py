@@ -8,9 +8,11 @@ enters only in the final constant product and in reporting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,13 +20,12 @@ from . import arith
 from .errors import PreconditionError
 from .sieve import (
     Params,
-    check_bulk_limit,
-    chi_divisor_sums,
     chi_range_sums,
     iter_prime_segments,
-    odd_prime_mask,
+    open_range,
     totient_table,
 )
+from .sieve import chi_divisor_sums  # noqa: F401  perfbench/tracer.py times calls here
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,48 @@ def theta0() -> float:
     return 0.5 - 0.25 * math.e * math.log(2.0)
 
 
+class RangeSums(NamedTuple):
+    """A divisor range's chi sums over the primes p <= X: per-class sums, total, sum of |.|."""
+
+    classes: list[int]
+    total: int
+    abs_total: int
+
+
+def sums_at_primes(X: int, a: int, moduli: list[int], ranges, dtype=np.int16) -> list[RangeSums]:
+    """Per (first, last) of ranges, the sums of chi(d) over d | p - 1, first <= d <= last, p <= X.
+
+    classes[i] sums over p = a (mod q), q = moduli[i], (a, q) = 1: in
+    m = (p - 1)/2 that is m = (a - 1)(q + 1)/2 (mod q) for odd q, where
+    (q + 1)/2 inverts 2, and m = (a - 1)/2 (mod q/2) for even q, one
+    strided sum per block.  p = 2 adds b(1) where 2 = a (mod q).  abs_total
+    is kept for a signed dtype only.
+    """
+    strides = [q if q % 2 else q // 2 for q in moduli]
+    starts = [
+        ((a - 1) * (q + 1) // 2 if q % 2 else (a - 1) // 2) % k for q, k in zip(moduli, strides)
+    ]
+    sums = []
+    for first, last in ranges:
+        two = int(first <= 1 <= last)
+        sums.append([[two * ((2 - a) % q == 0) for q in moduli], two, two])
+    signed = np.dtype(dtype).kind == "i"
+    accs = itertools.cycle(sums)  # zip would hold the last window while the next is built
+    for m0, w in chi_range_sums(X, ranges, dtype):
+        acc = next(accs)
+        acc[0] = [c + int(w[(s - m0) % k :: k].sum()) for c, s, k in zip(acc[0], starts, strides)]
+        acc[1] += int(w.sum())
+        if signed:
+            acc[2] += int(np.abs(w, out=w).sum())
+        del w  # before the next window is built
+    return [RangeSums(*acc) for acc in sums]
+
+
 def sum_r_shifted_primes(X: int) -> int:
-    """Exact sum over primes p <= X of r(p - 1) = 4 * the chi table read by _at_primes."""
+    """Exact sum over primes p <= X of r(p - 1) = 4 * b((p - 1)/2)."""
     if X < 2:
         raise PreconditionError(f"sum_r_shifted_primes requires X >= 2, got {X}")
-    check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
-    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
-    return 4 * (two + int(half[mask].sum()))
+    return 4 * sums_at_primes(X, 1, [], [(1, X)], np.uint8)[0].total
 
 
 def linnik_constant(tolerance: float) -> LinnikConstant:
@@ -110,41 +146,27 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
 
 
 def discrepancy(X: int, q: int, a: int) -> DiscrepancyRow:
-    """Exact r-weighted count over p = a (q), its main term, and their gap.
+    """Exact r-weighted count over p = a (q), its main term, and their gap."""
+    return discrepancies(X, a, [q])[0]
 
-    The class sum and the total are both masked gathers of the chi table,
-    as in sum_r_shifted_primes, so no array spans 0..X.
+
+def discrepancies(X: int, a: int, moduli: list[int]) -> list[DiscrepancyRow]:
+    """discrepancy(X, q, a) for each q of moduli, all from one pass of sums_at_primes.
+
+    No array spans 0..X, and a sweep over q at one X reads the primes once.
     """
     if X < 2:
         raise PreconditionError(f"discrepancy requires X >= 2, got {X}")
-    if q < 1 or a < 1:
+    if a < 1 or not all(q >= 1 for q in moduli):
         raise PreconditionError("discrepancy requires q >= 1 and a >= 1")
-    if math.gcd(a, q) != 1:
-        raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    check_bulk_limit(X)  # as bvsum's, though no array here spans 0..X
-    phi = arith.euler_phi(q)  # a q past the trial-division limit fails before any sieving
-    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
-    weighted = 4 * next(_class_sums(half, two, a, [q], mask))
-    main = Fraction(4 * (two + int(half[mask].sum())), phi)
-    return DiscrepancyRow(q, a, weighted, main, weighted - main)
-
-
-def _at_primes(arr: np.ndarray, X: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(arr[:n], odd_prime_mask(X), arr[1]): a chi array over m = 0..X // 2 read at the primes <= X.
-
-    chi(d) = 0 at even d, so a chi-divisor sum b has b(2m) = b(m), and an
-    odd prime p reads b((p - 1)/2), entry m of the n = (X + 1) // 2 that the
-    mask covers; at even X, entry X/2 would be p = X + 1.  p = 2 reads b(1).
-    """
-    mask = odd_prime_mask(X)
-    return arr[: mask.size], mask, int(arr[1])
-
-
-def _masked(window: np.ndarray, X: int) -> tuple[np.ndarray, int]:
-    """_at_primes's column of a fresh window, zeroed in place off the odd primes, and its value at 2."""
-    col, mask, two = _at_primes(window, X)
-    col *= mask
-    return col, two
+    for q in moduli:
+        if math.gcd(a, q) != 1:
+            raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
+    phis = [arith.euler_phi(q) for q in moduli]  # a q past trial division fails before sieving
+    (full,) = sums_at_primes(X, a, moduli, [(1, X)], np.uint8)
+    mains = [Fraction(4 * full.total, phi) for phi in phis]
+    rows = zip(moduli, full.classes, mains)
+    return [DiscrepancyRow(q, a, 4 * w, m, 4 * w - m) for q, w, m in rows]
 
 
 def _moduli(params: Params) -> list[int]:
@@ -156,36 +178,14 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
 
 
-def _class_sums(col: np.ndarray, two: int, a: int, moduli: list[int], mask=None):
-    """Yield, for each modulus q, the sum of a chi array over the primes p = a (mod q), (a, q) = 1.
+def _gap_sum(sums: RangeSums, moduli: list[int]) -> Fraction:
+    """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q the class sums and T the total.
 
-    col is laid out by m = (p - 1)/2, as _at_primes reads it, and is 0 off
-    the odd primes unless their mask is given.  2m + 1 = a (mod q) is
-    m = (a - 1)(q + 1)/2 (mod q) for odd q, where (q + 1)/2 inverts 2, and
-    m = (a - 1)/2 (mod q/2) for even q and odd a: one strided sum, plus
-    two, the value at p = 2, when 2 = a (mod q).
+    |W_q - T/phi| = |W_q phi - T| / phi, so the integer gaps are summed
+    exactly by one arith.reciprocal_sum over their phi(q).
     """
-    for q in moduli:
-        if q % 2:
-            odd = slice((a - 1) * (q + 1) // 2 % q, None, q)
-        else:
-            odd = slice((a - 1) // 2 % (q // 2), None, q // 2)
-        vals = col[odd] if mask is None else col[odd][mask[odd]]
-        yield int(vals.sum()) + two * ((2 - a) % q == 0)
-
-
-def _gap_sum(col: np.ndarray, two: int, a: int, moduli: list[int]) -> Fraction:
-    """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q from _class_sums and T the total.
-
-    The whole average costs about (X/2) log Q reads.  |W_q - T/phi| =
-    |W_q phi - T| / phi, so the integer gaps are summed exactly by
-    arith.reciprocal_sum over their phi(q).
-    """
-    total = int(col.sum()) + two
     phis = _totients(moduli)
-    gaps = (
-        abs(w * phi - total) for w, phi in zip(_class_sums(col, two, a, moduli), map(int, phis))
-    )
+    gaps = (abs(w * phi - sums.total) for w, phi in zip(sums.classes, phis.tolist()))
     return arith.reciprocal_sum(phis, gaps)
 
 
@@ -198,9 +198,8 @@ def bv_sum(params: Params) -> Fraction:
     """Sum over q <= Q with (q, a) = 1 of |weighted count - main term|, exactly."""
     moduli = _moduli(params)
     X = params.X
-    check_bulk_limit(X)  # before any sieving
-    half, mask, two = _at_primes(chi_divisor_sums(X // 2), X)
-    return 4 * _gap_sum(half * mask, two, params.a, moduli)
+    (full,) = sums_at_primes(X, params.a, moduli, [(1, X)], np.uint8)
+    return 4 * _gap_sum(full, moduli)
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -234,27 +233,25 @@ def decompose(params: Params) -> DecompositionResult:
     S1 and S2 compare progression-restricted inner sums with their
     1/phi(q)-scaled totals over the low (d <= D) and high (d >= X/D)
     divisor ranges; S3 carries 1/phi(q) outside an absolute value taken
-    per prime over the middle range; S4 is the progression-restricted
-    middle-range sum with no main term subtracted.  The three int16 chi
-    windows span 0..X // 2 and are built one at a time; each is masked in
-    place by _masked and read by the class sums of bv_sum.  The lhs is bv_sum.
+    per prime over the middle range (D < d < X/D, the d of open_range);
+    S4 is the progression-restricted middle-range sum with no main term
+    subtracted.  sums_at_primes reads the three ranges and the lhs's full
+    range from the same blocks, one int16 window at a time (|b| <= 96).
+    The lhs equals bv_sum.
     """
     if params.D < 2:
         raise PreconditionError(
             f"degenerate-D: D = {params.D:.6g} < 2 leaves the range d <= D empty; "
             "override the exponent to explore this X"
         )
-    X, a = params.X, params.a
+    X = params.X
     moduli = _moduli(params)
-    check_bulk_limit(X)
-    # Each window is a bare next() result, so none outlives its column,
-    # and the chi table behind the lhs is built only once they are gone.
-    windows = chi_range_sums(X // 2, params.D, X / params.D)
-    S1 = _gap_sum(*_masked(next(windows), X), a, moduli)
-    mid, two = _masked(next(windows), X)
-    S4 = Fraction(sum(abs(w) for w in _class_sums(mid, two, a, moduli)))
-    mid_abs = abs(two) + int(np.abs(mid, out=mid).sum())
-    del mid
-    S3 = mid_abs * arith.reciprocal_sum(_totients(moduli))
-    S2 = _gap_sum(*_masked(next(windows), X), a, moduli)
-    return DecompositionResult(S1, S2, S3, S4, bv_sum(params), params)
+    first, last = open_range(params.D, X / params.D)
+    low, mid, high, full = sums_at_primes(
+        X, params.a, moduli, [(1, first - 1), (first, last), (last + 1, X), (1, X)]
+    )
+    S1 = _gap_sum(low, moduli)
+    S2 = _gap_sum(high, moduli)
+    S3 = mid.abs_total * arith.reciprocal_sum(_totients(moduli))
+    S4 = Fraction(sum(map(abs, mid.classes)))
+    return DecompositionResult(S1, S2, S3, S4, 4 * _gap_sum(full, moduli), params)

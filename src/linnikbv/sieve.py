@@ -12,16 +12,14 @@ totient, sigma and Omega tables come from one prime-power kernel: only the
 returned table spans the whole range 0..limit (limit at most
 BULK_TABLE_LIMIT), while every working array is at most one kernel segment
 (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is allocated at
-import.  Every chi-divisor array comes from one window kernel as a
-whole-range array under the same cap, by strided slice adds alone: int16
-windows, chi_range_sums's three built one at a time, and the uint8 full
-table, whose sums are 0..48.  Since chi vanishes at even d, b(2m) = b(m),
-so each spans half the range and an odd prime p reads it at (p - 1)/2,
-under odd_prime_mask: one byte per odd number, from the segments' striking
-loop.  A segment's mask dies once its primes are read off; odd_prime_mask
-is cached like prime_array.  The squarefree-prime product P is never
-formed; only its prime support below the smoothness bound Y is stored.
-No prime stream goes past STREAM_LIMIT = 2**30.
+import.  Every chi-divisor array comes from one window kernel, by strided
+slice adds alone.  chi_range_sums reads b(m) at m = (p - 1)/2 (chi vanishes
+at even d, so b(2m) = b(m)) one block of m at a time, holding one block's
+odd-prime mask beside one window, so no array spans the range and it runs
+to STREAM_LIMIT; chi_divisor_sums is the kernel over a whole range under
+the bulk cap, cached.  The squarefree-prime product P is never formed; only
+its prime support below the smoothness bound Y is stored.  No prime stream
+goes past STREAM_LIMIT = 2**30.
 """
 
 from __future__ import annotations
@@ -50,6 +48,11 @@ TABLE_SEGMENT_LENGTH = 1 << 16
 # Largest limit any prime stream sieves to: 10**8 takes about a second,
 # and far larger limits would sieve for minutes.
 STREAM_LIMIT = 1 << 30
+
+
+def check_stream_limit(limit: int) -> None:
+    if not 0 <= limit <= STREAM_LIMIT:
+        raise PreconditionError(f"limit {brief_int(limit)} is outside the streaming limit 0..2**30")
 
 
 def _check_segment_length(segment_length: int) -> int:
@@ -106,8 +109,7 @@ def iter_prime_segments(
     before any sieving.
     """
     segment_length = _check_segment_length(segment_length)
-    if not 0 <= limit <= STREAM_LIMIT:
-        raise PreconditionError(f"limit {brief_int(limit)} is outside the streaming limit 0..2**30")
+    check_stream_limit(limit)
     if limit < 2:
         return
     root = isqrt(limit)
@@ -122,15 +124,6 @@ def iter_prime_segments(
 def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
     """Exactly the primes <= limit, ascending."""
     return [p for seg in iter_prime_segments(limit, segment_length) for p in seg.tolist()]
-
-
-@lru_cache(maxsize=8)
-def odd_prime_mask(limit: int) -> np.ndarray:
-    """Cached read-only bool array over m = 0..(limit - 1) // 2, true where 2m + 1 is prime."""
-    mask = _odd_mask(1, limit + 1, _base_primes(isqrt(limit)))
-    mask[:1] = False  # 1 is not prime
-    mask.flags.writeable = False
-    return mask
 
 
 @lru_cache(maxsize=8)
@@ -387,7 +380,7 @@ def chi_divisor_sums(limit: int) -> np.ndarray:
 
     The window of _chi_divisor_window over every d, cached and read-only;
     r(n) = 4 * b[n], and b[2n] = b[n] since chi(d) = 0 at even d.
-    Built mod 256, which is exact since every b[n] is in 0..48 below the cap.
+    Built mod 256, which is exact since every b[n] is in 0..96 for n < 2**29.
     """
     b = _chi_divisor_window(limit, 1, limit, np.uint8)
     b.flags.writeable = False
@@ -399,42 +392,68 @@ def open_range(lo: float, hi: float) -> tuple[int, int]:
     return math.floor(lo) + 1, math.ceil(hi) - 1
 
 
-def _chi_divisor_window(limit: int, first: int, last: int, dtype=np.int16) -> np.ndarray:
-    """Array w over 0..limit with w[n] = sum of chi(d) over d | n, first <= d <= last.
+def _chi_divisor_window(
+    limit: int, first: int, last: int, dtype=np.int16, start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """w[n - start] = sum of chi(d) over d | n, first <= d <= last, for n in [start, stop).
 
-    An odd d <= sqrt(limit) adds chi(d) along the slice w[d::d].  A larger
-    d has cofactor e = n/d <= sqrt(limit) (Hooley's switch d <-> n/d), and
-    for each e the window's d = 1 and d = 3 (mod 4) up to limit // e sit on
-    two slices of stride 4e, which add +1 and -1; even d add nothing.  int16
-    holds |w[n]| <= tau(n) < 2 sqrt(n) <= 2**13 below the bulk cap, and an
-    unsigned dtype takes the sums mod 2**bits.
+    limit bounds d and n (stop defaults to limit + 1).  An odd d <= sqrt(limit)
+    adds along the slice from its first multiple >= max(d, start); a larger d
+    has cofactor e = n/d <= sqrt(limit) (Hooley's switch), and for each e its
+    d = 1 and d = 3 (mod 4) sit on two slices of stride 4e.  For n < 2**29,
+    int16 holds |w| <= tau(n) <= 1152; an unsigned dtype sums mod 2**bits.
+    The window, not the limit, is held to the bulk cap.
     """
-    check_bulk_limit(limit)
-    w = np.zeros(limit + 1, dtype=dtype)
+    stop = limit + 1 if stop is None else stop
+    check_bulk_limit(stop - start - 1)
+    w = np.zeros(stop - start, dtype=dtype)
     first, last = max(first, 1), min(max(last, 0), limit)
     root = isqrt(limit)
     lo = max(first, root + 1)
+    # The cofactors e with some d in [lo, last] and e * d in [start, stop).
+    es = range(max(1, -(-start // last)), (stop - 1) // lo + 1) if last >= lo else ()
     for r, c in ((1, 1), (3, np.array(-1).astype(dtype))):  # chi(d) = c at d = r (mod 4)
         for d in range(first + (r - first) % 4, min(last, root) + 1, 4):
-            w[d::d] += c
-        for e in range(1, limit // lo + 1):
-            w[e * (lo + (r - lo) % 4) : e * min(last, limit // e) + 1 : 4 * e] += c
+            w[max(d, -(-start // d) * d) - start :: d] += c
+        for e in es:
+            d = max(lo, -(-start // e))
+            d += (r - d) % 4
+            w[e * d - start : min(e * last + 1, stop) - start : 4 * e] += c
     return w
 
 
-def chi_range_sums(limit: int, D: float, upper: float) -> Iterator[np.ndarray]:
-    """Per-n chi sums over the divisors of n <= limit split at D and upper.
+def shifted_block_length(X: int) -> int:
+    """m per block of chi_range_sums: 2**19 up to X = 2**22, then 2**8 sqrt(X).
 
-    Yields the int16 windows low, mid and high in turn, each built only when
-    asked for: low[n] sums chi(d) over d | n, d <= D, mid over D < d < upper
-    (the d of open_range(D, upper)) and high over d >= upper.  When D >= upper
-    mid is empty and low and high overlap.  The cut points are arguments, so
-    decompose cuts at D and X/D of the full X on windows over 0..X // 2.
+    A block costs about 2.5 sqrt(X/2) slice calls whatever its length, so
+    the blocks grow with sqrt(X).
     """
-    first, last = open_range(D, min(upper, limit + 1))  # an infinite upper has no ceil
-    yield _chi_divisor_window(limit, 1, first - 1)
-    yield _chi_divisor_window(limit, first, last)
-    yield _chi_divisor_window(limit, last + 1, limit)
+    return max(1 << 19, isqrt(X) << 8)
+
+
+def chi_range_sums(X: int, ranges, dtype=np.int16) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m0, w) per block [m0, m1) of m = (p - 1)/2, odd p <= X, and (first, last) of ranges.
+
+    w[m - m0] is the sum of chi(d) over d | m, first <= d <= last, where
+    2m + 1 is prime, else 0; since chi(d) = 0 at even d, that is the sum
+    over d | p - 1.  One mask from _odd_mask serves a block's windows, each
+    built when asked for and masked in place.  p = 2 reads b(1), which is 1
+    exactly when first <= 1 <= last.
+    """
+    check_stream_limit(X)
+    limit = (X - 1) // 2
+    base = _base_primes(isqrt(X))
+    step = shifted_block_length(X)
+    for m0 in range(0, limit + 1, step):
+        m1 = min(m0 + step, limit + 1)
+        mask = _odd_mask(2 * m0 + 1, 2 * m1, base)
+        if m0 == 0:
+            mask[0] = False  # 1 is not prime
+        for first, last in ranges:
+            w = _chi_divisor_window(limit, first, last, dtype, m0, m1)
+            w *= mask
+            yield m0, w
+            del w  # before the next window is built
 
 
 def _phi_local(view, p, e):

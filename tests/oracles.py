@@ -126,6 +126,29 @@ def disk_lattice_count(limit):
     return total - 1
 
 
+def shifted_prime_lattice_count(X):
+    """Points (x, y) of Z^2 with x^2 + y^2 + 1 <= X prime, from a bitmap of the odd primes alone.
+
+    This is the sum of r(p - 1) over the primes p <= X, with no chi and no
+    divisor.  p = 2 is x^2 + y^2 = 1, four points; an odd p has x^2 + y^2 =
+    p - 1 even, and odd[i] stands for 2i + 1.
+    """
+    if X < 2:
+        return 0
+    odd = np.ones((X + 1) // 2, dtype=bool)
+    odd[0] = False
+    for f in range(3, isqrt(X) + 1, 2):
+        if odd[f // 2]:
+            odd[f * f // 2 :: f] = False
+    total = 4
+    for x in range(isqrt(X - 1) + 1):
+        ys = np.arange(isqrt(X - 1 - x * x) + 1)
+        n = x * x + ys * ys
+        hit = (n % 2 == 0) & odd[n // 2]
+        total += (1 if x == 0 else 2) * int(np.where(ys > 0, 2, 1)[hit].sum())
+    return total
+
+
 def pi_progression(X, q, a):
     return sum(1 for p in primes(X) if p % q == a % q)
 

@@ -82,12 +82,9 @@ def test_bv_sum_oracle_equivalence():
     start = time.perf_counter()
     params = Params(10**6, 2.0, 1)
     fast = linnik.bv_sum(params)
-    per_q = Fraction(0)
-    q = 1
-    while q <= params.Q:
-        if gcd(q, params.a) == 1:
-            per_q += abs(linnik.discrepancy(params.X, q, params.a).discrepancy)
-        q += 1
+    moduli = [q for q in range(1, int(params.Q) + 1) if gcd(q, params.a) == 1]
+    rows = linnik.discrepancies(params.X, params.a, moduli)
+    per_q = sum((abs(row.discrepancy) for row in rows), Fraction(0))
     assert fast == per_q
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"bv_sum comparison took {elapsed:.1f}s"

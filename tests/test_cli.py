@@ -291,17 +291,15 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("lemma hooley13 --y 1000 --alpha 0.5 --omega 300", "bulk cap"),
         # u(log 1000)^300 is about 1e253 for hooley15's d range.
         ("lemma hooley15 --x 1000 --u 20 --n 12 --which 3 --omega 300", "bulk cap"),
-        # Every weight-array command checks the cap before it sieves.
-        ("rsum --x 100000000000", "bulk cap"),
-        ("bvsum --x 100000000000 --A 1", "bulk cap"),
-        # The chi table spans only 0..X // 2, but the weight array spans 0..X.
-        ("rsum --x 16777217", "bulk cap"),
-        ("bvsum --x 16777217 --A 1", "bulk cap"),
-        ("discrepancy --x 100000000000 --q 3 --a 1", "bulk cap"),
-        # So does every lemma checker whose work grows with its range.
-        ("lemma hooley1 --x 100000000000", "bulk cap"),
-        # Its window spans 0..(X - 1) // 2, but p - 1 reaches X - 1.
-        ("lemma hooley1 --x 16777218", "bulk cap"),
+        # Every shifted-prime sum streams its primes, and checks X against
+        # the streaming limit 2^30 before it sieves.
+        ("rsum --x 100000000000", "streaming limit"),
+        ("bvsum --x 100000000000 --A 1", "streaming limit"),
+        ("rsum --x 1073741825", "streaming limit"),
+        ("bvsum --x 1073741825 --A 1", "streaming limit"),
+        ("discrepancy --x 1073741825 --q 3 --a 1", "streaming limit"),
+        ("lemma hooley1 --x 1073741825", "streaming limit"),
+        # Every other lemma checker whose work grows with its range is capped.
         ("lemma count_n --n 100000000000 --r 1", "bulk cap"),
         ("lemma brun_titchmarsh --x 100000000000 --q 3 --a 1", "streaming limit"),
         ("lemma hooley13q --y 100000000000 --alpha 1.25 --q 4", "bulk cap"),
@@ -312,8 +310,8 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ),
         ("lemma f_progression --x 100000000000 --y 100000000000 --q 3", "bulk cap"),
         ("lemma estimate_b --x 100000000000 --y 100000000000", "bulk cap"),
-        # decompose gathers its windows lazily, so it checks X before sieving.
-        ("decompose --x 100000000000 --A 1 --override-exponent 2", "bulk cap"),
+        # decompose builds its windows lazily, so it checks X before sieving.
+        ("decompose --x 1073741825 --A 1 --override-exponent 2", "streaming limit"),
         # About 1.8e8 (h, d) terms, counted before any is built; then 16 million
         # h values whose d ranges are nearly empty.
         ("lemma hooley15 --x 1000000 --u 999999 --n 12 --which 3", "(h, d) terms"),
@@ -345,7 +343,7 @@ def test_unbounded_enumeration_is_a_precondition_error(capsys, line, reason):
     [
         ("constant --tolerance 1e-300", "streaming limit"),
         ("lemma brun_titchmarsh --x 1" + "0" * 400 + " --q 3 --a 1", "streaming limit"),
-        ("lemma hooley1 --x 1" + "0" * 400, "bulk cap"),
+        ("lemma hooley1 --x 1" + "0" * 400, "streaming limit"),
         ("discrepancy --x 1000 --q 1" + "0" * 400 + " --a 1", "<= 2**40"),
     ],
     ids=["constant", "brun_titchmarsh", "hooley1", "discrepancy"],

@@ -246,6 +246,27 @@ def test_hooley15_oracle_values():
         assert got == oracles.hooley15_direct(10, 10, 1.0, 6, 10**4, which)
 
 
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("n", [720, 5040])
+def test_hooley15_divisor_bisects_match_oracle(which, n):
+    # n's divisors are taken once and bisected at u'/h; with u' = 3.7u every
+    # h cuts them at a different point, as the oracle's rescans do.
+    params = Params(10**4, 0.0)
+    got = lemmas.hooley15_sums(10, 37, 1.0, n, which, params)
+    assert got == oracles.hooley15_direct(10, 37, 1.0, n, 10**4, which)
+
+
+def test_sigma_minus1_and_tau_trunc_take_the_divisors_once():
+    n = 5040
+    divs = arith.divisors(n)
+    for y in (None, 0, 1, 7.5, Fraction(100, 3), 71, 5040, 6000):
+        want = sum(Fraction(1, d) for d in oracles.divisors(n) if y is None or d > y)
+        assert arith.sigma_minus1(n, y) == arith.sigma_minus1(n, y, divs) == want
+        if y is not None:
+            count = sum(1 for d in oracles.divisors(n) if d <= y)
+            assert arith.tau_trunc(n, y) == arith.tau_trunc(n, y, divs) == count
+
+
 def _hooley15_per_term(u, u_prime, n, which, params):
     """The Fractions of hooley15_sums's former loop, sigma_-1(d) by trial division per d."""
     u_exact, up_exact = Fraction(u), Fraction(u_prime)

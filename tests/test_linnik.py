@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from linnikbv import arith, linnik, sieve
+from linnikbv import arith, lemmas, linnik, sieve
 from linnikbv.errors import PreconditionError
 from linnikbv.sieve import Params
 
@@ -134,6 +134,17 @@ def test_discrepancy_strided_edges(q, a):
 def test_discrepancy_rejects_common_factor():
     with pytest.raises(PreconditionError):
         linnik.discrepancy(100, 4, 2)
+    with pytest.raises(PreconditionError):
+        linnik.discrepancies(100, 2, [1, 3, 4])
+
+
+def test_discrepancies_match_one_modulus_at_a_time():
+    # One pass over the primes serves every modulus: the rows equal the
+    # one-modulus calls, in the order of the moduli, repeats included.
+    moduli = [52, 1, 13, 4, 24, 7, 13, 10039]
+    rows = linnik.discrepancies(EDGE_X, 10061, moduli)
+    assert rows == [linnik.discrepancy(EDGE_X, q, 10061) for q in moduli]
+    assert linnik.discrepancies(EDGE_X, 1, []) == []
 
 
 def test_discrepancy_residue_reduces_mod_q():
@@ -213,29 +224,31 @@ def test_bv_sum_equals_per_modulus_discrepancies():
     phis = linnik._totients(moduli).tolist()
     assert phis == [arith.euler_phi(q) for q in moduli]
     assert len(set(phis)) < len(moduli)
-    expected = sum(abs(linnik.discrepancy(10**5, q, 3).discrepancy) for q in moduli)
+    expected = sum(abs(row.discrepancy) for row in linnik.discrepancies(10**5, 3, moduli))
     assert linnik.bv_sum(params) == expected
 
 
-def test_chi_divisor_sum_fits_a_byte_below_bulk_cap():
+def test_chi_divisor_sum_fits_a_byte_below_the_stream_limit():
     # b = r/4 is largest at n built from primes = 1 (mod 4) alone, with
-    # exponents not increasing along 5, 13, 17, 29, ...; the maximum below
-    # the cap must fit the uint8 weights of bv_sum.
-    cap = sieve.BULK_TABLE_LIMIT
+    # exponents not increasing along 5, 13, 17, 29, ...; the maximum over
+    # the m = (p - 1)/2 < 2^29 of every p <= 2^30 must fit the uint8 windows
+    # of bv_sum, which are summed mod 256.
+    cap = 1 << 29
     primes = [p for p in oracles.primes(100) if p % 4 == 1]
 
     def best(n, i, e_max):
         top = (1, n)
         e, m = 0, n
-        while e < e_max and i < len(primes) and m * primes[i] <= cap:
+        while e < e_max and i < len(primes) and m * primes[i] < cap:
             e, m = e + 1, m * primes[i]
             b, arg = best(m, i + 1, e)
             top = max(top, ((e + 1) * b, arg))
         return top
 
     b, n = best(1, 0, 64)
-    assert b == 48 <= np.iinfo(np.uint8).max
+    assert b == 96 <= np.iinfo(np.uint8).max
     assert sieve.r_via_identity(n) == 4 * b
+    assert sieve.r_via_identity(243061325) == 4 * 96  # 5^2 * 13 * 17 * 29 * 37 * 41
 
 
 def test_decompose_degenerate_D():
@@ -286,83 +299,57 @@ def test_decompose_second_oracle_point(X, A, a, exponent):
 
 @pytest.mark.parametrize("X", [65537, 65538, 3 * 2**16 + 17, 1_000_003])
 def test_prime_weights_read_under_the_mask_match_full_table(X):
-    # 65537 is prime and one past a kernel segment; at 65538 the chi table
-    # has one entry, m = X/2 (p = X + 1), past the mask.
+    # 65537 is prime and one past a kernel segment; at 65538 the last block
+    # ends at m = (X - 1) // 2, before p = X + 1.
     full = oracles.chi_divisor_sums(X)
     primes = sieve.prime_array(X)
-    half, mask, two = linnik._at_primes(sieve.chi_divisor_sums(X // 2), X)
-    assert primes[:2].tolist() == [2, 3]
-    assert two == full[1]
-    assert np.array_equal(np.flatnonzero(mask), (primes[1:] - 1) // 2)
-    assert np.array_equal(half[mask], full[primes[1:] - 1])
-    col = half * mask
-    assert int(col.sum()) + two == int(full[primes - 1].sum())  # 0 off the primes
+    (got,) = linnik.sums_at_primes(X, 1, [1, 4], [(1, X)], np.uint8)
+    assert got.total == int(full[primes - 1].sum())
+    assert got.classes == [got.total, int(full[primes[primes % 4 == 1] - 1].sum())]
+    assert linnik.sum_r_shifted_primes(X) == 4 * got.total
+
+
+# The stream holds one block's mask and one window at a time: at X = 2^24 a
+# block is shifted_block_length(2^24) = 2^20 m, so a bool mask of 1 MiB
+# beside a uint8 window of 1 MiB or an int16 window of 2 MiB, far below the
+# X/2 = 8 MiB of one whole-range uint8 table over m.
+BIG_X = 1 << 24
+BLOCK = sieve.shifted_block_length(BIG_X)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_prime_weights_hold_a_byte_chi_table():
-    X = 1 << 20
-    sieve.chi_divisor_sums.cache_clear()
-    sieve.odd_prime_mask.cache_clear()
-    tracemalloc.start()
-    try:
-        linnik.bv_sum(Params(X, 1.0, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # bv_sum builds the cached uint8 chi table over 0..X/2 (X/2 bytes), the
-    # cached bool mask over the odd numbers (X/2 bytes) and the uint8 column
-    # table * mask (X/2 bytes): about 1.5 X bytes, with the sieve's and the
-    # kernel's small working arrays.
-    assert peak < 2 * (X + 1)
+    # Mask and uint8 window, 2 MiB, and the sieve's and the kernel's small
+    # working arrays; a window kept alive while the next is built adds 1 MiB.
+    assert BLOCK == 1 << 20
+    assert _peak_bytes(linnik.bv_sum, Params(BIG_X, 1.0, 1)) < 3 * BLOCK
 
 
 def test_decompose_holds_one_window_at_a_time():
-    X = 1 << 22
-    params = Params(X, 1.0, 1, override_exponent=2)
-    # Cached tables are built first, so only decompose's own arrays count;
-    # bv_sum reads the chi table over 0..X // 2.
-    sieve.chi_divisor_sums(X // 2)
-    sieve.odd_prime_mask(X)
-    tracemalloc.start()
-    try:
-        linnik.decompose(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # One int16 window over 0..X // 2 (X bytes), masked in place, then
-    # bv_sum's uint8 column (X/2 bytes) once the windows are gone; two
-    # windows alive at once would be 2X bytes.
-    assert peak < 2 * (X + 1)
+    # Mask and one int16 window, 3 MiB; a second window alive at once adds
+    # 2 MiB.  bv_sum's 2 MiB come after them.
+    params = Params(BIG_X, 1.0, 1, override_exponent=2)
+    assert _peak_bytes(linnik.decompose, params) < 4 * BLOCK
 
 
 def test_sum_r_builds_no_array_over_the_range():
-    X = 1 << 22
-    sieve.chi_divisor_sums(X // 2)
-    sieve.odd_prime_mask(X)
-    tracemalloc.start()
-    try:
-        linnik.sum_r_shifted_primes(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The uint8 gather at the odd primes only, pi(X) bytes (0.07 X here);
-    # a uint8 weight array over 0..X alone is X + 1 bytes.
-    assert peak < 0.75 * (X + 1)
+    # Mask and uint8 window, 2 MiB; a uint8 weight array over 0..X alone
+    # would be 16 MiB.
+    assert _peak_bytes(linnik.sum_r_shifted_primes, BIG_X) < 3 * BLOCK
 
 
 def test_discrepancy_builds_no_array_over_the_range():
-    X = 1 << 22
-    sieve.chi_divisor_sums(X // 2)
-    sieve.odd_prime_mask(X)
-    tracemalloc.start()
-    try:
-        linnik.discrepancy(X, 3, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Two uint8 gathers, the total's (pi(X) bytes) and the class's (fewer),
-    # as for sum_r_shifted_primes.
-    assert peak < 0.75 * (X + 1)
+    # The class sum and the total come from the same window, as for
+    # sum_r_shifted_primes.
+    assert _peak_bytes(linnik.discrepancy, BIG_X, 3, 1) < 3 * BLOCK
 
 
 @pytest.mark.parametrize("q, a", [(1, 1), (3, 1), (4, 3), (97, 5), (200003, 17)])
@@ -378,20 +365,51 @@ def test_discrepancy_matches_the_full_table_at_the_primes(q, a):
 
 @pytest.mark.parametrize("X", [65537, 65538, 3 * 2**16 + 17, 1_000_003])
 def test_half_range_windows_masked_match_full_windows(X):
-    # Windows over 0..X // 2 cut at D and X/D of the full X, masked at
-    # m = (p - 1)/2, against the full windows read at p - 1.  D < sqrt(X) <
-    # X/D keeps all three nonempty.
+    # Windows over m = (p - 1)/2 cut at D and X/D, against the full windows
+    # over 0..X read at p - 1.  D < sqrt(X) < X/D keeps all three nonempty.
     D = 20.3
     primes = sieve.prime_array(X)
     assert primes[:2].tolist() == [2, 3]
-    windows = sieve.chi_range_sums(X // 2, D, X / D)
-    for got, want in zip(windows, oracles.chi_range_sums(X, D)):
-        col, two = linnik._masked(got, X)
+    first, last = sieve.open_range(D, X / D)
+    ranges = [(1, first - 1), (first, last), (last + 1, X)]
+    got = [[] for _ in ranges]
+    for i, (_, w) in enumerate(sieve.chi_range_sums(X, ranges)):
+        assert w.dtype == np.int16
+        got[i % 3].append(w.copy())
+    for (lo, hi), parts, want in zip(ranges, got, oracles.chi_range_sums(X, D)):
+        col = np.concatenate(parts)
         at_primes = want[primes - 1]
-        assert col.dtype == np.int16 and at_primes.any()
-        assert two == at_primes[0]
+        assert at_primes.any()
+        assert int(lo <= 1 <= hi) == at_primes[0]  # p = 2 reads m = 1
         assert np.array_equal(col[(primes[1:] - 1) // 2], at_primes[1:])
         assert np.count_nonzero(col) == np.count_nonzero(at_primes[1:])  # 0 off the primes
+
+
+@pytest.mark.parametrize("X, length", [(2003, 1), (2003, 7), (10**4 + 1, 64), (10**4 + 1, 1000)])
+def test_streamed_sums_do_not_depend_on_the_block_length(monkeypatch, X, length):
+    def run():
+        params = Params(X, 2.0, 3, override_exponent=1.0)
+        dec = linnik.decompose(params)
+        return (
+            linnik.sum_r_shifted_primes(X),
+            [vars(linnik.discrepancy(X, q, a)) for q, a in P2_CLASSES],
+            linnik.bv_sum(Params(X, 2.0, 2)),
+            (dec.S1, dec.S2, dec.S3, dec.S4, dec.lhs),
+            [lemmas.hooley1_lhs(X, omega) for omega in (0.5, 1.0, 5.0)],
+        )
+
+    whole = run()  # one block
+    monkeypatch.setattr(sieve, "shifted_block_length", lambda X: length)
+    assert run() == whole
+
+
+def test_sum_r_matches_the_lattice_count_at_2_26():
+    # The fourth route: lattice points with x^2 + y^2 + 1 prime, read off a
+    # bitmap of the odd primes alone.
+    for X in (2, 16, 17, 10**4):
+        assert oracles.shifted_prime_lattice_count(X) == linnik.sum_r_shifted_primes(X)
+    X = 1 << 26
+    assert linnik.sum_r_shifted_primes(X) == oracles.shifted_prime_lattice_count(X)
 
 
 # p = 2 is in the class 2 mod every odd q; an even q takes stride q/2 over

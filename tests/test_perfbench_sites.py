@@ -39,6 +39,40 @@ def test_tracer_lookup_site_is_callable(site):
     assert callable(found) or site in RETIRED
 
 
+TRACER = _load("tracer")
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
+# Metrics a traced run prints whatever the program holds: the root span's
+# self time, the table total and the traced-minus-plain wall time.
+ALWAYS_PRINTED = {"cli.self_s", "sieve.table_bytes", "trace.overhead_s"}
+# Metrics a traced run prints only while the span behind them is wrapped.
+DERIVED_FROM = {
+    "linnik.moduli": "arith.euler_phi",
+    "linnik.bv_sum.speedup_2t": "linnik.bv_sum",
+    "lemmas.exact_share": "lemmas.report",
+}
+
+
+def _wrapped_span_names():
+    names = set()
+    for module, attr in TRACER.TARGETS:
+        found = getattr(importlib.import_module(f"linnikbv.{module}"), attr, None)
+        if callable(found):
+            names.add(TRACER._span_name(found))
+    return names
+
+
+@pytest.mark.parametrize("metric", [m for m in PER_LAYER if m not in ALWAYS_PRINTED])
+def test_traced_run_can_print_every_declared_metric(metric):
+    # perfbench/run.py drops <fn>.self_s and <fn>.calls once no lookup site
+    # of fn resolves, and the derived metrics once their span is gone.
+    if metric.endswith((".self_s", ".calls")):
+        span = metric.rsplit(".", 1)[0]
+    else:
+        span = DERIVED_FROM[metric]
+    assert span in _wrapped_span_names()
+
+
 WORKLOADS = _load("workloads")
 
 

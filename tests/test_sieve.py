@@ -77,20 +77,29 @@ def test_prime_segment_shape_pinned():
     _assert_segment_shape(10**6 + 7)
 
 
-def _assert_odd_prime_mask(limit):
-    mask = sieve.odd_prime_mask(limit)
-    assert mask.dtype == bool and not mask.flags.writeable
-    assert mask.tolist() == [oracles.is_prime(2 * m + 1) for m in range((limit - 1) // 2 + 1)]
+def _stream(X, ranges, dtype=np.int16):
+    """chi_range_sums's windows joined per range over m = 0..(X - 1) // 2."""
+    got = [[] for _ in ranges]
+    for i, (m0, w) in enumerate(sieve.chi_range_sums(X, ranges, dtype)):
+        assert m0 == sum(part.size for part in got[i % len(ranges)])
+        got[i % len(ranges)].append(w.copy())
+    return [np.concatenate(parts) if parts else np.zeros(0, dtype) for parts in got]
 
 
-def test_odd_prime_mask_matches_is_prime():
-    # Entry m stands for 2m + 1: m = 0 (the unit 1) is off, and the last
-    # entry is the largest odd number <= limit.
-    for limit in range(2, 401):
-        _assert_odd_prime_mask(limit)
-    for p in (23, 31, 97, 211):
-        for limit in (p * p - 1, p * p, p * p + 1):
-            _assert_odd_prime_mask(limit)
+def test_odd_prime_mask_matches_is_prime(monkeypatch):
+    # The window over d = 1 alone is 1 at every m >= 1, so the stream leaves
+    # each block's odd-prime mask: entry m stands for 2m + 1, m = 0 (the
+    # unit 1) is off, and the last entry is the largest odd number <= X.
+    # The parent's limits, 2..400 and p^2 - 1, p^2, p^2 + 1 for p up to 211,
+    # at every block length; p = 211 (22 261 m) only at the longer blocks.
+    squares = [n for p in (23, 31, 97, 211) for n in (p * p - 1, p * p, p * p + 1)]
+    for length in (None, 1, 2, 7):
+        if length:
+            monkeypatch.setattr(sieve, "shifted_block_length", lambda X: length)
+        for X in list(range(2, 401)) + squares[: None if length in (None, 7) else -3]:
+            (got,) = _stream(X, [(1, 1)])
+            want = [oracles.is_prime(2 * m + 1) for m in range((X - 1) // 2 + 1)]
+            assert got.tolist() == want, (X, length)
 
 
 def test_zero_segment_length_rejected():
@@ -259,11 +268,13 @@ def test_chi_divisor_sums_match_identity():
 
 
 def test_chi_range_sums_match_split():
-    X, D = 2000, 9.7
-    low, mid, high = sieve.chi_range_sums(X, D, X / D)
-    for n in range(1, X + 1, 37):
+    # Each prime p reads the ranges cut at D and X/D at m = (p - 1)/2.
+    X, D = 4001, 9.7
+    first, last = sieve.open_range(D, X / D)
+    low, mid, high = _stream(X, [(1, first - 1), (first, last), (last + 1, X)])
+    for p in oracles.primes(X)[1:]:
         l = m = h = 0
-        for d in oracles.divisors(n):
+        for d in oracles.divisors(p - 1):
             c = oracles.chi(d)
             if d <= D:
                 l += c
@@ -271,7 +282,8 @@ def test_chi_range_sums_match_split():
                 m += c
             if d >= X / D:
                 h += c
-        assert (int(low[n]), int(mid[n]), int(high[n])) == (l, m, h)
+        k = (p - 1) // 2
+        assert (int(low[k]), int(mid[k]), int(high[k])) == (l, m, h)
 
 
 def _window_cases(limit):
@@ -313,10 +325,58 @@ def test_uint8_chi_table_matches_int32_window(limit):
     assert np.array_equal(table, sieve._chi_divisor_window(limit, 1, limit))
 
 
-def test_signed_windows_fit_int16_below_bulk_cap():
-    # |w[n]| <= tau(n) < 2 sqrt(n), so the int16 windows are exact while
-    # 2 sqrt(cap) < 2**15; a cap raised to 2**28 or past it fails here.
-    assert 2 * isqrt(sieve.BULK_TABLE_LIMIT) < 2**15
+@pytest.mark.parametrize("limit", [0, 1, 9, 60, 101])
+def test_chi_divisor_window_blocks_match_the_whole_window(limit):
+    # Blocks of 1 to 7 n, so the block edges fall on and beside every
+    # multiple of each d and of each 4e.
+    for first, last in _window_cases(limit):
+        whole = sieve._chi_divisor_window(limit, first, last)
+        for length in range(1, 8):
+            parts = [
+                sieve._chi_divisor_window(limit, first, last, start=n0, stop=n0 + length)
+                for n0 in range(0, limit + 1 - length, length)
+            ]
+            parts.append(sieve._chi_divisor_window(limit, first, last, start=len(parts) * length))
+            assert np.array_equal(np.concatenate(parts), whole), (first, last, length)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+def test_chi_divisor_window_from_a_start_matches_the_slice(dtype):
+    # Starts on multiples of odd d <= sqrt(limit) (63, 21 * 61) and of 4e
+    # (4 * 13 * 20, 4 * 64 * 7), one past them, and near the end.
+    limit = 4099
+    starts = [0, 1, 63, 64, 1281, 1282, 1040, 1041, 1792, 1793, limit - 3, limit]
+    for first, last in [(1, limit), (65, limit), (2, 64), (10, 300), (65, 1000), (700, 4000)]:
+        whole = sieve._chi_divisor_window(limit, first, last, dtype)
+        for start in starts:
+            for length in (1, 5, 97, 1000):
+                stop = min(start + length, limit + 1)
+                got = sieve._chi_divisor_window(limit, first, last, dtype, start, stop)
+                assert got.dtype == dtype
+                assert np.array_equal(got, whole[start:stop]), (first, last, start, length)
+
+
+def _most_divisors(cap):
+    """(tau(n), n) largest below cap, over n = 2^e1 3^e2 5^e3 ... with e1 >= e2 >= ..."""
+    primes = oracles.primes(100)
+
+    def best(n, i, e_max):
+        top = (1, n)
+        e, m = 0, n
+        while e < e_max and m * primes[i] < cap:
+            e, m = e + 1, m * primes[i]
+            t, arg = best(m, i + 1, e)
+            top = max(top, ((e + 1) * t, arg))
+        return top
+
+    return best(1, 0, 64)
+
+
+def test_signed_windows_fit_int16_below_the_stream_limit():
+    # |w[m]| <= tau(m), and every window is over m <= (2^30 - 1) // 2 < 2^29:
+    # tau(m) <= 1152 there (1344 below 2^30), so the int16 windows are exact.
+    assert _most_divisors(1 << 29)[0] == 1152
+    assert _most_divisors(1 << 30)[0] == 1344 < 2**15
     # 160225 = 5^2 * 13 * 17 * 29: all 24 divisors have chi = +1, the largest
     # sum up to it; the windows past sqrt(limit) and below it reach -6 and -5.
     limit = 160225
@@ -346,7 +406,7 @@ def test_chi_divisor_window_checks_bulk_cap():
 
 
 @pytest.mark.parametrize(
-    "limit, D",
+    "X, D",
     [
         (10**4, 1),
         (10**4, 9.7),
@@ -354,14 +414,35 @@ def test_chi_divisor_window_checks_bulk_cap():
         (10**4, 300),  # D > X/D: low and high overlap, mid is empty
         (10**4, 99.5),
         (10**4, 10**6),
-        (3 * 2**16 + 17, 20.3),
+        (3 * 2**16 + 17, 20.3),  # 24 blocks of 4096 m
     ],
 )
-def test_chi_range_sums_match_oracle(limit, D):
-    got = sieve.chi_range_sums(limit, D, limit / D)
-    for arr, want in zip(got, oracles.chi_range_sums(limit, D)):
-        assert arr.dtype == np.int16
-        assert np.array_equal(arr, want)
+def test_chi_range_sums_match_oracle(monkeypatch, X, D):
+    # The windows over m = (p - 1)/2, cut at D and X/D, against the oracle's
+    # whole windows over 0..(X - 1) // 2, at the odd primes only, in one
+    # block and in blocks of many and of few m.
+    limit = (X - 1) // 2
+    first, last = sieve.open_range(D, X / D)
+    ranges = [(1, first - 1), (first, last), (last + 1, X)]
+    at_primes = np.array([oracles.is_prime(2 * m + 1) for m in range(limit + 1)])
+    wants = [oracles.chi_divisor_window(limit, lo, hi) * at_primes for lo, hi in ranges]
+    for length in (None, 4096, 7) if X < 10**5 else (None, 4096):
+        if length:
+            monkeypatch.setattr(sieve, "shifted_block_length", lambda X: length)
+        for got, want, (lo, hi) in zip(_stream(X, ranges), wants, ranges):
+            assert got.dtype == np.int16
+            assert np.array_equal(got, want), (lo, hi, length)
+
+
+def test_shifted_block_length_grows_with_sqrt_x():
+    assert [sieve.shifted_block_length(1 << k) for k in (20, 22, 24, 26, 28, 30)] == [
+        1 << 19, 1 << 19, 1 << 20, 1 << 21, 1 << 22, 1 << 23
+    ]
+
+
+def test_chi_range_sums_checks_the_stream_limit():
+    with pytest.raises(PreconditionError, match="streaming limit"):
+        next(sieve.chi_range_sums(sieve.STREAM_LIMIT + 1, [(1, 1)]))
 
 
 def test_totient_and_omega_tables():
