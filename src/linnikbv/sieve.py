@@ -347,7 +347,8 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
     counts the exponent of p at the multiples of p; local(view, p, e) then
     folds p^e into the table entries at those multiples.  After the rounds
     rem is 1 or the one prime factor above sqrt(limit), which
-    leftover(view, rem) folds in.  Entries start at identity; index 0 is 0.
+    leftover(view, rem) folds in; each may overwrite e or rem, which die
+    after the call.  Entries start at identity; index 0 is 0.
     """
     out = np.full(limit + 1, identity, dtype=dtype)
     out[0] = 0
@@ -457,11 +458,15 @@ def chi_range_sums(X: int, ranges, dtype=np.int16) -> Iterator[tuple[int, np.nda
 
 
 def _phi_local(view, p, e):
-    view *= (p - 1) * np.power(p, e - 1)
+    e -= 1
+    np.power(p, e, out=e)
+    e *= p - 1
+    view *= e
 
 
 def _phi_leftover(view, rem):
-    view *= np.where(rem > 1, rem - 1, 1)
+    rem -= 1
+    view *= np.maximum(rem, 1, out=rem)
 
 
 @lru_cache(maxsize=4)
