@@ -14,11 +14,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigurationError, PreconditionError
 from .sieve import (
-    FactorTable,
     Params,
     f_enveloping,
-    factor_table,
-    factorize,
     h_indicator,
     primes_up_to,
     r_two_squares,
@@ -43,7 +40,6 @@ __all__ = [
     "ConfigurationError",
     "DecompositionResult",
     "DiscrepancyRow",
-    "FactorTable",
     "LinnikConstant",
     "Params",
     "PreconditionError",
@@ -51,8 +47,6 @@ __all__ = [
     "decompose",
     "discrepancy",
     "f_enveloping",
-    "factor_table",
-    "factorize",
     "h_indicator",
     "linnik_constant",
     "primes_up_to",

@@ -20,6 +20,7 @@ from . import arith
 from .errors import PreconditionError
 from .sieve import (
     Params,
+    check_bulk_limit,
     chi_range_sums,
     iter_prime_segments,
     open_range,
@@ -170,12 +171,18 @@ def discrepancies(X: int, a: int, moduli: list[int]) -> list[DiscrepancyRow]:
 
 
 def _moduli(params: Params) -> list[int]:
-    """The q <= Q with (q, a) = 1; Q above X is a precondition error."""
+    """The q <= Q with (q, a) = 1; Q above X is a precondition error.
+
+    The largest q, which sizes the totient table, is held to the bulk cap
+    before the list is built.
+    """
     if params.Q > params.X:
         raise PreconditionError(
             f"Q = (log X)^A = {params.Q:.6g} exceeds X = {params.X}; lower A"
         )
-    return [q for q in range(1, math.floor(params.Q) + 1) if math.gcd(q, params.a) == 1]
+    top = math.floor(params.Q)
+    check_bulk_limit(next(q for q in range(top, 0, -1) if math.gcd(q, params.a) == 1))
+    return [q for q in range(1, top + 1) if math.gcd(q, params.a) == 1]
 
 
 def _gap_sum(sums: RangeSums, moduli: list[int]) -> Fraction:

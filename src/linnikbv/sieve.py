@@ -1,25 +1,24 @@
 """Segmented bulk sieving engine.
 
-Provides primes, smallest-prime-factor (SPF) tables over ranges, and the
-per-integer functions built on them: the two-squares representation count
-r(n), the rough-number indicator h, and the enveloping-sieve value f.
-Bulk tables are numpy arrays; per-n evaluators return plain Python ints.
+Provides primes and the per-integer functions built on them: the
+two-squares representation count r(n), the rough-number indicator h, and
+the enveloping-sieve value f.  Bulk tables are numpy arrays; per-n
+evaluators return plain Python ints.
 
-Memory policy: primes stream in odd-only segments of 2**22 numbers, each a
-2**21-byte mask, and SPF tables are built one segment at a time and a single
-table never exceeds the segment budget (default 2**22 entries).  The bulk
-totient, sigma and Omega tables come from one prime-power kernel: only the
-returned table spans the whole range 0..limit (limit at most
+Memory policy: primes stream in odd-only segments of SEGMENT_LENGTH = 2**22
+numbers, each a 2**21-byte array struck by the one striking loop _strike.
+The bulk totient, sigma and Omega tables come from one prime-power kernel:
+only the returned table spans the whole range 0..limit (limit at most
 BULK_TABLE_LIMIT), while every working array is at most one kernel segment
 (TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is allocated at
 import.  Every chi-divisor array comes from one window kernel, by strided
 slice adds alone.  chi_range_sums reads b(m) at m = (p - 1)/2 (chi vanishes
-at even d, so b(2m) = b(m)) one block of m at a time, holding one block's
-odd-prime mask beside one window, so no array spans the range and it runs
-to STREAM_LIMIT; chi_divisor_sums is the kernel over a whole range under
-the bulk cap, cached.  The squarefree-prime product P is never formed; only
-its prime support below the smoothness bound Y is stored.  No prime stream
-goes past STREAM_LIMIT = 2**30.
+at even d, so b(2m) = b(m)) one block of m at a time, holding one window,
+whose entries at odd composites 2m + 1 _strike zeroes in place, so no array
+spans the range and it runs to STREAM_LIMIT; chi_divisor_sums is the kernel
+over a whole range under the bulk cap, cached.  The squarefree-prime
+product P is never formed; only its prime support below the smoothness
+bound Y is stored.  No prime stream goes past STREAM_LIMIT = 2**30.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ import numpy as np
 from . import arith
 from .errors import ConfigurationError, PreconditionError, brief_int
 
-DEFAULT_SEGMENT_LENGTH = 1 << 22
+# Numbers per prime segment past sqrt(limit); linnik_constant's float bytes
+# depend on this split.
+SEGMENT_LENGTH = 1 << 22
 
 # Largest limit for which whole-range working arrays (chi divisor sums,
 # totient and Omega tables) may be materialized in one piece.
@@ -55,37 +56,29 @@ def check_stream_limit(limit: int) -> None:
         raise PreconditionError(f"limit {brief_int(limit)} is outside the streaming limit 0..2**30")
 
 
-def _check_segment_length(segment_length: int) -> int:
-    if segment_length is None:
-        return DEFAULT_SEGMENT_LENGTH
-    if segment_length < 1:
-        raise ConfigurationError(
-            f"segment length must be positive, got {segment_length}"
-        )
-    return segment_length
+def _strike(arr: np.ndarray, first: int, base: np.ndarray) -> None:
+    """Zero in place the entries of arr at odd composites; entry i stands for first + 2i, first odd.
 
-
-def _odd_mask(first: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """bool over the odd numbers from first (odd) below hi, true at the primes and at 1.
-
-    Each odd prime of base, the primes <= sqrt(hi - 1), strikes its odd
-    multiples from max(p^2, first).
+    Each odd prime p of base strikes its odd multiples from max(p^2, first);
+    base holds the primes <= sqrt of the last number, and larger ones strike
+    nothing.
     """
-    mask = np.ones((hi - first + 1) // 2, dtype=bool)
     for p in base[1:].tolist():
         start = max(p * p, ((first + p - 1) // p | 1) * p)
-        mask[(start - first) // 2 :: p] = False
-    return mask
+        arr[(start - first) // 2 :: p] = 0
 
 
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
 
-    The odd primes are read off _odd_mask, which dies here, and 2 is added
-    when the segment starts at 2.
+    The odd primes are read off a bool array over the odd numbers that
+    _strike leaves true at the primes, and 2 is added when the segment
+    starts at 2.
     """
     first = lo | 1
-    primes = np.flatnonzero(_odd_mask(first, hi, base))
+    odd = np.ones((hi - first + 1) // 2, dtype=bool)
+    _strike(odd, first, base)
+    primes = np.flatnonzero(odd)
     primes *= 2
     primes += first
     return np.insert(primes, 0, 2) if lo == 2 else primes
@@ -98,32 +91,28 @@ def _base_primes(limit: int) -> np.ndarray:
     return _sieve_segment(2, limit + 1, _base_primes(isqrt(limit)))
 
 
-def iter_prime_segments(
-    limit: int, segment_length: Optional[int] = None
-) -> Iterator[np.ndarray]:
+def iter_prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays that together hold all primes <= limit.
 
-    First the primes <= sqrt(limit), then each nonempty segment from
-    sqrt(limit) + 1 on; linnik_constant's float bytes depend on this split.
-    A limit below 0 or above STREAM_LIMIT is a precondition error, raised
-    before any sieving.
+    First the primes <= sqrt(limit), then each nonempty segment of
+    SEGMENT_LENGTH numbers from sqrt(limit) + 1 on.  A limit below 0 or
+    above STREAM_LIMIT is a precondition error, raised before any sieving.
     """
-    segment_length = _check_segment_length(segment_length)
     check_stream_limit(limit)
     if limit < 2:
         return
     root = isqrt(limit)
     base = _base_primes(root)
     yield base
-    for lo in range(root + 1, limit + 1, segment_length):
-        seg = _sieve_segment(lo, min(lo + segment_length, limit + 1), base)
+    for lo in range(root + 1, limit + 1, SEGMENT_LENGTH):
+        seg = _sieve_segment(lo, min(lo + SEGMENT_LENGTH, limit + 1), base)
         if seg.size:
             yield seg
 
 
-def primes_up_to(limit: int, segment_length: Optional[int] = None) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
     """Exactly the primes <= limit, ascending."""
-    return [p for seg in iter_prime_segments(limit, segment_length) for p in seg.tolist()]
+    return [p for seg in iter_prime_segments(limit) for p in seg.tolist()]
 
 
 @lru_cache(maxsize=8)
@@ -135,81 +124,10 @@ def prime_array(limit: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class FactorTable:
-    """Smallest prime factors for the range [lo, hi).
-
-    spf[n - lo] is the least prime dividing n, n itself when n is prime,
-    and the sentinel 1 for the unit n = 1.
-    """
-
-    lo: int
-    hi: int
-    spf: np.ndarray
-
-
-def factor_table(
-    lo: int, hi: int, segment_length: Optional[int] = None
-) -> FactorTable:
-    """SPF table for [lo, hi); (hi - lo) must fit the segment budget."""
-    segment_length = _check_segment_length(segment_length)
-    if not 1 <= lo < hi:
-        raise PreconditionError(f"factor_table requires 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > segment_length:
-        raise ConfigurationError(
-            f"range [{lo}, {hi}) exceeds the segment budget of {segment_length} entries"
-        )
-    if hi > 1 << 32:
-        raise ConfigurationError("SPF entries are 32-bit; hi must not exceed 2**32")
-    spf = np.zeros(hi - lo, dtype=np.uint32)
-    for p in _base_primes(isqrt(hi - 1)).tolist():
-        view = spf[max(p * p, (lo + p - 1) // p * p) - lo :: p]
-        view[view == 0] = p
-    # Untouched entries are primes, plus the unit 1 which is its own sentinel.
-    left = np.flatnonzero(spf == 0)
-    spf[left] = (left + lo).astype(np.uint32)
-    spf.flags.writeable = False  # tables are immutable and safe to share
-    return FactorTable(lo, hi, spf)
-
-
-def factorize(
-    n: int, table: Optional[FactorTable] = None, fallback: bool = True
-) -> list[tuple[int, int]]:
-    """Complete prime factorization [(p, e), ...] with primes ascending.
-
-    Uses the SPF table while the running cofactor stays inside its range
-    and falls back to direct division otherwise; with fallback disabled an
-    out-of-range cofactor is a precondition violation.
-    """
-    if n < 1:
-        raise PreconditionError(f"factorize requires n >= 1, got {n}")
-    out: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        if table is not None and table.lo <= m < table.hi:
-            p = int(table.spf[m - table.lo])
-        elif table is None or fallback:
-            # Remaining cofactor has no factor below any prime already taken,
-            # so its trial factorization extends the list in order.
-            out.extend(arith.factorize_trial(m))
-            return out
-        else:
-            raise PreconditionError(
-                f"{m} is outside the factor table range [{table.lo}, {table.hi}) "
-                "and fallback is disabled"
-            )
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def divisors_of(n: int, table: Optional[FactorTable] = None) -> list[int]:
-    """Sorted divisors of n, expanded from its factorization."""
+def divisors_of(n: int) -> list[int]:
+    """Sorted divisors of n, expanded from its trial factorization."""
     divs = [1]
-    for p, e in factorize(n, table):
+    for p, e in arith.factorize_trial(n):
         pk = 1
         ext = []
         for _ in range(e):
@@ -220,7 +138,7 @@ def divisors_of(n: int, table: Optional[FactorTable] = None) -> list[int]:
     return divs
 
 
-def r_two_squares(n: int, table: Optional[FactorTable] = None) -> int:
+def r_two_squares(n: int) -> int:
     """Representations n = x^2 + y^2 counting signs and order, via factorization.
 
     Zero as soon as a prime 3 mod 4 divides n to an odd power, otherwise
@@ -229,7 +147,7 @@ def r_two_squares(n: int, table: Optional[FactorTable] = None) -> int:
     if n < 1:
         raise PreconditionError(f"r_two_squares requires n >= 1, got {n}")
     out = 4
-    for p, e in factorize(n, table):
+    for p, e in arith.factorize_trial(n):
         rem = p % 4
         if rem == 3:
             if e % 2:
@@ -437,9 +355,9 @@ def chi_range_sums(X: int, ranges, dtype=np.int16) -> Iterator[tuple[int, np.nda
 
     w[m - m0] is the sum of chi(d) over d | m, first <= d <= last, where
     2m + 1 is prime, else 0; since chi(d) = 0 at even d, that is the sum
-    over d | p - 1.  One mask from _odd_mask serves a block's windows, each
-    built when asked for and masked in place.  p = 2 reads b(1), which is 1
-    exactly when first <= 1 <= last.
+    over d | p - 1.  Each window is built when asked for, and _strike zeroes
+    its odd composites in place.  p = 2 reads b(1), which is 1 exactly when
+    first <= 1 <= last.
     """
     check_stream_limit(X)
     limit = (X - 1) // 2
@@ -447,12 +365,11 @@ def chi_range_sums(X: int, ranges, dtype=np.int16) -> Iterator[tuple[int, np.nda
     step = shifted_block_length(X)
     for m0 in range(0, limit + 1, step):
         m1 = min(m0 + step, limit + 1)
-        mask = _odd_mask(2 * m0 + 1, 2 * m1, base)
-        if m0 == 0:
-            mask[0] = False  # 1 is not prime
         for first, last in ranges:
             w = _chi_divisor_window(limit, first, last, dtype, m0, m1)
-            w *= mask
+            _strike(w, 2 * m0 + 1, base)
+            if m0 == 0:
+                w[0] = 0  # 1 is not prime
             yield m0, w
             del w  # before the next window is built
 
@@ -471,9 +388,9 @@ def _phi_leftover(view, rem):
 
 @lru_cache(maxsize=4)
 def totient_table(limit: int) -> np.ndarray:
-    """Euler phi for 0..limit as an int64 array (phi[0] = 0)."""
+    """Euler phi for 0..limit as an int32 array (phi[0] = 0); phi(n) <= n <= 2**24."""
     check_bulk_limit(limit)
-    phi = _prime_power_table(limit, np.int64, 1, _phi_local, _phi_leftover)
+    phi = _prime_power_table(limit, np.int32, 1, _phi_local, _phi_leftover)
     phi.flags.writeable = False
     return phi
 

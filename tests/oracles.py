@@ -57,14 +57,6 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def spf(n):
-    if n == 1:
-        return 1
-    for d in range(2, n + 1):
-        if n % d == 0:
-            return d
-
-
 def phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 

@@ -24,10 +24,9 @@ def test_two_squares_triple_agreement():
     # exact equality, under 30 s single-threaded.
     start = time.perf_counter()
     N = 10**5
-    table = sieve.factor_table(1, N + 1)
     lattice = oracles.r_lattice_bulk(N)
     for n in range(1, N + 1):
-        a = sieve.r_two_squares(n, table)
+        a = sieve.r_two_squares(n)
         b = sieve.r_via_identity(n)
         assert a == b == lattice[n], f"mismatch at n={n}: {a}, {b}, {lattice[n]}"
     assert (4 * sieve.chi_divisor_sums(N)[1:].astype(int)).tolist() == lattice[1:]
@@ -63,7 +62,6 @@ def test_divisor_range_split_identity():
     # 4*(low + mid + high) == r(p-1) for every prime p <= 1e5 under three
     # parameter choices, one with an overridden exponent.  Exact.
     N = 10**5
-    table = sieve.factor_table(1, N + 1)
     primes = sieve.primes_up_to(N)
     for params in (
         Params(N, 0.0),
@@ -72,7 +70,7 @@ def test_divisor_range_split_identity():
     ):
         for p in primes:
             triple = linnik.split_r_by_ranges(p, params)
-            assert 4 * sum(triple) == sieve.r_two_squares(p - 1, table)
+            assert 4 * sum(triple) == sieve.r_two_squares(p - 1)
     _announce("divisor-range split identity holds to 1e5 under 3 parameter sets")
 
 
@@ -92,9 +90,8 @@ def test_bv_sum_oracle_equivalence():
 
 
 def test_gauss_circle_cross_check():
-    table = sieve.factor_table(1, 10**4 + 1)
     for N in (10**3, 10**4):
-        total = sum(sieve.r_two_squares(n, table) for n in range(1, N + 1))
+        total = sum(sieve.r_two_squares(n) for n in range(1, N + 1))
         assert total == oracles.disk_lattice_count(N)
     _announce("sum of r(n) matches closed-disk lattice counts at 1e3 and 1e4")
 

@@ -312,6 +312,11 @@ def test_non_finite_or_overflowing_value_is_a_precondition_error(capsys, line):
         ("lemma estimate_b --x 100000000000 --y 100000000000", "bulk cap"),
         # decompose builds its windows lazily, so it checks X before sieving.
         ("decompose --x 1073741825 --A 1 --override-exponent 2", "streaming limit"),
+        # Q = (log 2^30)^6, about 8.1e7, is at most X, but its totient table is
+        # past the bulk cap; the largest modulus is checked before the moduli
+        # are listed or any prime is sieved.
+        ("bvsum --x 1073741824 --A 6", "bulk cap"),
+        ("decompose --x 1073741824 --A 6 --override-exponent 2", "bulk cap"),
         # About 1.8e8 (h, d) terms, counted before any is built; then 16 million
         # h values whose d ranges are nearly empty.
         ("lemma hooley15 --x 1000000 --u 999999 --n 12 --which 3", "(h, d) terms"),

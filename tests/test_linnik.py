@@ -309,10 +309,10 @@ def test_prime_weights_read_under_the_mask_match_full_table(X):
     assert linnik.sum_r_shifted_primes(X) == 4 * got.total
 
 
-# The stream holds one block's mask and one window at a time: at X = 2^24 a
-# block is shifted_block_length(2^24) = 2^20 m, so a bool mask of 1 MiB
-# beside a uint8 window of 1 MiB or an int16 window of 2 MiB, far below the
-# X/2 = 8 MiB of one whole-range uint8 table over m.
+# The stream holds one window at a time, struck in place: at X = 2^24 a
+# block is shifted_block_length(2^24) = 2^20 m, so a uint8 window of 1 MiB
+# or an int16 window of 2 MiB, far below the X/2 = 8 MiB of one whole-range
+# uint8 table over m.
 BIG_X = 1 << 24
 BLOCK = sieve.shifted_block_length(BIG_X)
 
@@ -327,29 +327,30 @@ def _peak_bytes(fn, *args):
 
 
 def test_prime_weights_hold_a_byte_chi_table():
-    # Mask and uint8 window, 2 MiB, and the sieve's and the kernel's small
-    # working arrays; a window kept alive while the next is built adds 1 MiB.
+    # One uint8 window, 1 MiB, and the sieve's and the kernel's small
+    # working arrays; a mask beside it, or a window kept alive while the
+    # next is built, adds 1 MiB.
     assert BLOCK == 1 << 20
-    assert _peak_bytes(linnik.bv_sum, Params(BIG_X, 1.0, 1)) < 3 * BLOCK
+    assert _peak_bytes(linnik.bv_sum, Params(BIG_X, 1.0, 1)) < 2 * BLOCK
 
 
 def test_decompose_holds_one_window_at_a_time():
-    # Mask and one int16 window, 3 MiB; a second window alive at once adds
-    # 2 MiB.  bv_sum's 2 MiB come after them.
+    # One int16 window, 2 MiB; a mask beside it adds 1 MiB, and a second
+    # window alive at once 2 MiB.
     params = Params(BIG_X, 1.0, 1, override_exponent=2)
-    assert _peak_bytes(linnik.decompose, params) < 4 * BLOCK
+    assert _peak_bytes(linnik.decompose, params) < 3 * BLOCK
 
 
 def test_sum_r_builds_no_array_over_the_range():
-    # Mask and uint8 window, 2 MiB; a uint8 weight array over 0..X alone
-    # would be 16 MiB.
-    assert _peak_bytes(linnik.sum_r_shifted_primes, BIG_X) < 3 * BLOCK
+    # One uint8 window, 1 MiB; a mask beside it adds 1 MiB, and a uint8
+    # weight array over 0..X alone would be 16 MiB.
+    assert _peak_bytes(linnik.sum_r_shifted_primes, BIG_X) < 2 * BLOCK
 
 
 def test_discrepancy_builds_no_array_over_the_range():
     # The class sum and the total come from the same window, as for
     # sum_r_shifted_primes.
-    assert _peak_bytes(linnik.discrepancy, BIG_X, 3, 1) < 3 * BLOCK
+    assert _peak_bytes(linnik.discrepancy, BIG_X, 3, 1) < 2 * BLOCK
 
 
 @pytest.mark.parametrize("q, a", [(1, 1), (3, 1), (4, 3), (97, 5), (200003, 17)])

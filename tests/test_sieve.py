@@ -7,7 +7,7 @@ import pytest
 
 from linnikbv import sieve
 from linnikbv.errors import ConfigurationError, PreconditionError
-from linnikbv.sieve import FactorTable, Params
+from linnikbv.sieve import Params
 
 import oracles
 
@@ -35,10 +35,11 @@ def test_primes_match_oracle():
     assert sieve.primes_up_to(10**6) == bytearray_sieve(10**6)
 
 
-def test_primes_segmentation_irrelevant():
+def test_primes_segmentation_irrelevant(monkeypatch):
     expected = sieve.primes_up_to(10**4)
     for seg in (64, 1000, 10**6):
-        assert sieve.primes_up_to(10**4, segment_length=seg) == expected
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", seg)
+        assert sieve.primes_up_to(10**4) == expected
 
 
 def _expected_segments(limit, length):
@@ -55,26 +56,30 @@ def _expected_segments(limit, length):
     return segments
 
 
-def _assert_segment_shape(limit, length=None):
-    got = list(sieve.iter_prime_segments(limit, length))
-    expected = _expected_segments(limit, length or sieve.DEFAULT_SEGMENT_LENGTH)
-    assert len(got) == len(expected), (limit, length)
+def _assert_segment_shape(limit):
+    got = list(sieve.iter_prime_segments(limit))
+    expected = _expected_segments(limit, sieve.SEGMENT_LENGTH)
+    assert len(got) == len(expected), limit
     for arr, seg in zip(got, expected):
         assert arr.dtype == np.int64
-        assert arr.tolist() == seg, (limit, length)
+        assert arr.tolist() == seg, limit
 
 
-def test_prime_segment_shape_pinned():
+def test_prime_segment_shape_pinned(monkeypatch):
     # linnik_constant multiplies per segment, so its float bytes depend on
     # exactly these boundaries.
-    for limit in range(401):
-        for length in (1, 2, 7, 64):
-            _assert_segment_shape(limit, length)
-    for p in (2, 3, 5, 31, 97):
-        for limit in (p * p - 1, p * p, p * p + 1):
-            for length in (7, None):
-                _assert_segment_shape(limit, length)
+    assert sieve.SEGMENT_LENGTH == 1 << 22
     _assert_segment_shape(10**6 + 7)
+    squares = [n for p in (2, 3, 5, 31, 97) for n in (p * p - 1, p * p, p * p + 1)]
+    for limit in squares:
+        _assert_segment_shape(limit)
+    for length in (1, 2, 7, 64):
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", length)
+        for limit in range(401):
+            _assert_segment_shape(limit)
+        if length == 7:
+            for limit in squares:
+                _assert_segment_shape(limit)
 
 
 def _stream(X, ranges, dtype=np.int16):
@@ -87,9 +92,10 @@ def _stream(X, ranges, dtype=np.int16):
 
 
 def test_odd_prime_mask_matches_is_prime(monkeypatch):
-    # The window over d = 1 alone is 1 at every m >= 1, so the stream leaves
-    # each block's odd-prime mask: entry m stands for 2m + 1, m = 0 (the
-    # unit 1) is off, and the last entry is the largest odd number <= X.
+    # The window over d = 1 alone is 1 at every m >= 1, so what the striking
+    # loop leaves of it is the odd-prime indicator: entry m stands for
+    # 2m + 1, m = 0 (the unit 1) is off, and the last entry is the largest
+    # odd number <= X.
     # The parent's limits, 2..400 and p^2 - 1, p^2, p^2 + 1 for p up to 211,
     # at every block length; p = 211 (22 261 m) only at the longer blocks.
     squares = [n for p in (23, 31, 97, 211) for n in (p * p - 1, p * p, p * p + 1)]
@@ -102,81 +108,24 @@ def test_odd_prime_mask_matches_is_prime(monkeypatch):
             assert got.tolist() == want, (X, length)
 
 
-def test_zero_segment_length_rejected():
-    with pytest.raises(ConfigurationError):
-        sieve.primes_up_to(100, segment_length=0)
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16])
+def test_strike_zeroes_the_odd_composites_only(dtype):
+    # The one striking loop serves the segments' bool arrays and the chi
+    # windows: entry i stands for first + 2i, each odd composite goes to 0
+    # and every other entry, the unit 1 included, keeps its value.
+    base = np.array(oracles.primes(45), dtype=np.int64)  # enough below 47^2
+    for first in (1, 3, 9, 25, 27, 121, 1001):
+        values = (np.arange(500) % 5 + 1).astype(dtype)
+        arr = values.copy()
+        sieve._strike(arr, first, base)
+        for i, v in enumerate(arr.tolist()):
+            n = first + 2 * i
+            assert v == (values[i] if n == 1 or oracles.is_prime(n) else 0), (first, n)
 
 
-def test_factor_table_examples():
-    assert sieve.factor_table(2, 10).spf.tolist() == [2, 3, 2, 5, 2, 7, 2, 3]
-    assert sieve.factor_table(1, 2).spf.tolist() == [1]
-    assert sieve.factor_table(97, 98).spf.tolist() == [97]
-
-
-def test_factor_table_matches_trial_division():
-    table = sieve.factor_table(1, 3000)
-    for n in range(1, 3000):
-        assert int(table.spf[n - 1]) == oracles.spf(n)
-
-
-def test_factor_table_budget_enforced():
-    with pytest.raises(ConfigurationError):
-        sieve.factor_table(1, 1000, segment_length=100)
-
-
-def test_factor_table_segment_consistency():
-    N = 10**5
-    whole = sieve.factor_table(2, N)
-    for k in (17, 1000, 65536):
-        left = sieve.factor_table(2, k)
-        right = sieve.factor_table(k, N)
-        assert np.array_equal(np.concatenate([left.spf, right.spf]), whole.spf)
-
-
-def test_factorize_examples():
-    assert sieve.factorize(12) == [(2, 2), (3, 1)]
-    assert sieve.factorize(1) == []
-    assert sieve.factorize(97) == [(97, 1)]
-
-
-def test_factorize_with_table_and_fallback():
-    table = sieve.factor_table(50, 100)
-    assert sieve.factorize(75, table) == [(3, 1), (5, 2)]
-    assert sieve.factorize(64, table) == [(2, 6)]
-    with pytest.raises(PreconditionError):
-        sieve.factorize(75, table, fallback=False)
-
-
-def test_factorize_matches_oracle():
-    table = sieve.factor_table(1, 2001)
+def test_divisors_of_matches_oracle():
     for n in range(1, 2001):
-        assert sieve.factorize(n, table) == oracles.factorize(n)
-
-
-def test_factorization_invariants_sampled():
-    import random
-
-    rng = random.Random(99)
-    table = sieve.factor_table(1, 10**5)
-    for _ in range(2000):
-        n = rng.randrange(1, 10**5)
-        fac = sieve.factorize(n, table)
-        primes = [p for p, _ in fac]
-        assert primes == sorted(primes) and len(set(primes)) == len(primes)
-        assert all(e >= 1 for _, e in fac)
-        product = 1
-        for p, e in fac:
-            product *= p**e
-        assert product == n
-
-
-def test_primes_equal_single_factor_fixed_points():
-    N = 10**5
-    table = sieve.factor_table(1, N + 1)
-    from_factorization = [
-        n for n in range(2, N + 1) if sieve.factorize(n, table) == [(n, 1)]
-    ]
-    assert from_factorization == sieve.primes_up_to(N)
+        assert sieve.divisors_of(n) == oracles.divisors(n)
 
 
 def test_r_two_squares_examples():
@@ -192,16 +141,14 @@ def test_r_via_identity_examples():
 
 
 def test_r_triple_agreement_small():
-    table = sieve.factor_table(1, 2001)
     lattice = oracles.r_lattice_bulk(2000)
     for n in range(1, 2001):
-        assert sieve.r_two_squares(n, table) == sieve.r_via_identity(n) == lattice[n]
+        assert sieve.r_two_squares(n) == sieve.r_via_identity(n) == lattice[n]
 
 
 def test_gauss_circle_small():
     N = 500
-    table = sieve.factor_table(1, N + 1)
-    total = sum(sieve.r_two_squares(n, table) for n in range(1, N + 1))
+    total = sum(sieve.r_two_squares(n) for n in range(1, N + 1))
     assert total == oracles.disk_lattice_count(N)
 
 
@@ -465,8 +412,10 @@ def test_totient_and_omega_tables():
 def test_prime_power_tables_match_loop_oracles(name, limit):
     table = getattr(sieve, name)(limit)
     expected = getattr(oracles, name)(limit)
-    # The chi table is uint8 (every entry fits a byte) beside an int32 oracle.
-    assert table.dtype == (np.uint8 if name == "chi_divisor_sums" else expected.dtype)
+    # The chi table is uint8 (every entry fits a byte) beside an int32
+    # oracle, and the phi table int32 (phi(n) <= n <= 2^24) beside an int64 one.
+    pinned = {"chi_divisor_sums": np.uint8, "totient_table": np.int32}
+    assert table.dtype == pinned.get(name, expected.dtype)
     assert np.array_equal(table, expected)
     assert not table.flags.writeable
 
@@ -494,13 +443,3 @@ def test_sigma_table_at_prime_powers_near_the_bulk_cap():
     finally:
         sieve.sigma_table.cache_clear()  # a 128 MB table
 
-
-def test_concurrent_table_construction_is_consistent():
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [(1 + 5000 * i, 1 + 5000 * (i + 1)) for i in range(8)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        tables = list(pool.map(lambda b: sieve.factor_table(*b), bounds))
-    whole = sieve.factor_table(1, bounds[-1][1])
-    joined = np.concatenate([t.spf for t in tables])
-    assert np.array_equal(joined, whole.spf)
