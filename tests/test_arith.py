@@ -6,7 +6,7 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from linnikbv import arith, sieve
+from linnikbv import arith
 from linnikbv.arith import Residue
 from linnikbv.errors import PreconditionError
 
@@ -115,39 +115,6 @@ def test_crt_coprime_result_is_coprime():
             got = arith.crt_l(Residue(v1, d), Residue(v2, q))
             if got is not None:
                 assert gcd(got.value, got.modulus) == 1
-
-
-def test_factorize_trial_examples():
-    assert arith.factorize_trial(12) == [(2, 2), (3, 1)]
-    assert arith.factorize_trial(1) == []
-    assert arith.factorize_trial(97) == [(97, 1)]
-    assert arith.factorize_trial(75) == [(3, 1), (5, 2)]
-    assert arith.factorize_trial(64) == [(2, 6)]
-
-
-def test_factorize_trial_matches_oracle():
-    for n in range(1, 3001):
-        assert arith.factorize_trial(n) == oracles.factorize(n)
-
-
-def test_factorization_invariants_sampled():
-    rng = random.Random(99)
-    for _ in range(2000):
-        n = rng.randrange(1, 10**5)
-        fac = arith.factorize_trial(n)
-        primes = [p for p, _ in fac]
-        assert primes == sorted(primes) and len(set(primes)) == len(primes)
-        assert all(e >= 1 for _, e in fac)
-        product = 1
-        for p, e in fac:
-            product *= p**e
-        assert product == n
-
-
-def test_primes_equal_single_factor_fixed_points():
-    N = 10**5
-    from_factorization = [n for n in range(2, N + 1) if arith.factorize_trial(n) == [(n, 1)]]
-    assert from_factorization == sieve.primes_up_to(N)
 
 
 def test_omega_examples():

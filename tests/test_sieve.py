@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from linnikbv import sieve
+from linnikbv import arith, sieve
 from linnikbv.errors import ConfigurationError, PreconditionError
 from linnikbv.sieve import Params
 
@@ -106,6 +106,41 @@ def test_odd_prime_mask_matches_is_prime(monkeypatch):
             (got,) = _stream(X, [(1, 1)])
             want = [oracles.is_prime(2 * m + 1) for m in range((X - 1) // 2 + 1)]
             assert got.tolist() == want, (X, length)
+
+
+def test_factorize_examples():
+    assert arith.factorize_trial(12) == [(2, 2), (3, 1)]
+    assert arith.factorize_trial(1) == []
+    assert arith.factorize_trial(97) == [(97, 1)]
+    assert arith.factorize_trial(75) == [(3, 1), (5, 2)]
+    assert arith.factorize_trial(64) == [(2, 6)]
+
+
+def test_factorize_matches_oracle():
+    for n in range(1, 3001):
+        assert arith.factorize_trial(n) == oracles.factorize(n)
+
+
+def test_factorization_invariants_sampled():
+    import random
+
+    rng = random.Random(99)
+    for _ in range(2000):
+        n = rng.randrange(1, 10**5)
+        fac = arith.factorize_trial(n)
+        primes = [p for p, _ in fac]
+        assert primes == sorted(primes) and len(set(primes)) == len(primes)
+        assert all(e >= 1 for _, e in fac)
+        product = 1
+        for p, e in fac:
+            product *= p**e
+        assert product == n
+
+
+def test_primes_equal_single_factor_fixed_points():
+    N = 10**5
+    from_factorization = [n for n in range(2, N + 1) if arith.factorize_trial(n) == [(n, 1)]]
+    assert from_factorization == sieve.primes_up_to(N)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16])
