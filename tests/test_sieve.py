@@ -478,3 +478,34 @@ def test_sigma_table_at_prime_powers_near_the_bulk_cap():
     finally:
         sieve.sigma_table.cache_clear()  # a 128 MB table
 
+
+
+@pytest.mark.parametrize("name", ["totient_table", "sigma_table", "omega_table"])
+def test_prime_power_table_segment_consistency(name, monkeypatch):
+    # The kernel walks its range in TABLE_SEGMENT_LENGTH pieces; where the
+    # pieces end must not change a single entry.  __wrapped__ skips the cache.
+    limit = 5000
+    build = getattr(sieve, name).__wrapped__
+    whole = build(limit)
+    for length in (1, 7, 64, 1000, 4999, 5000):
+        monkeypatch.setattr(sieve, "TABLE_SEGMENT_LENGTH", length)
+        assert np.array_equal(build(limit), whole), (name, length)
+
+
+def test_concurrent_table_construction_is_consistent():
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Tables and prime segments built side by side on four threads agree
+    # with the ones built one at a time.
+    limit = 40000
+    names = ["chi_divisor_sums", "totient_table", "sigma_table", "omega_table"]
+    builds = [getattr(sieve, n).__wrapped__ for n in names] * 2
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(lambda build: build(limit), builds))
+        segments = list(pool.map(lambda n: np.concatenate(list(sieve.iter_prime_segments(n))),
+                                 [limit] * 4))
+    for build, table in zip(builds, tables):
+        assert np.array_equal(table, build(limit)), build.__name__
+    expected = np.array(sieve.primes_up_to(limit), dtype=np.int64)
+    for arr in segments:
+        assert np.array_equal(arr, expected)
