@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from . import lemmas, linnik
+from . import linnik
 from .errors import ConfigurationError, PreconditionError
 from .sieve import Params, check_bulk_limit, iter_prime_segments
 
@@ -154,6 +154,8 @@ def _constant(ns):
 
 
 def _lemma(ns):
+    from . import lemmas
+
     lemma_id = ns.lemma_id
     if lemma_id == "epq":
         _require(ns, "x", "p", "q")
@@ -181,6 +183,8 @@ def _scan_grid(maximum):
 
 
 def _scan(ns):
+    from . import lemmas
+
     lemma_id = ns.lemma_id
     checker = lemmas.CHECKERS[lemma_id]
     params, inputs = _checker_inputs(ns, checker)
@@ -216,7 +220,8 @@ def render(ns: argparse.Namespace) -> str:
     return emit_report(rows, ns.output_format, ns.command, params, columns)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command, without the checker table's arguments."""
     parser = argparse.ArgumentParser(
         prog="linnikbv",
         description="Desk-scale checks for shifted primes p = x^2 + y^2 + 1: "
@@ -238,25 +243,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
     subs["constant"].add_argument("--tolerance", type=float, default=1e-8)
+    return parser, subs
+
+
+def _add_checker_arguments(subs: dict) -> None:
+    """Add lemma_id and the checker table's flags to the lemma and scan subparsers."""
+    from . import lemmas
+
+    # The checker flags beyond the common ones, typed by the checker table.
+    common = subs["lemma"]._option_string_actions
+    flags = {}
+    for checker in lemmas.CHECKERS.values():
+        for name, flag, kind in checker.inputs:
+            if flag not in common:
+                flags.setdefault(flag, {"type": kind, "choices": checker.choices.get(name)})
     subs["lemma"].add_argument("lemma_id", choices=(*lemmas.CHECKERS, "epq"))
     subs["scan"].add_argument(
         "lemma_id", choices=[i for i, c in lemmas.CHECKERS.items() if c.scan]
     )
-    # The checker flags beyond the common ones, typed by the checker table.
-    flags = {}
-    for checker in lemmas.CHECKERS.values():
-        for name, flag, kind in checker.inputs:
-            if flag not in common._option_string_actions:
-                flags.setdefault(flag, {"type": kind, "choices": checker.choices.get(name)})
     for p in (subs["lemma"], subs["scan"]):
         for flag, spec in flags.items():
             p.add_argument(flag, **spec)
         p.add_argument("--p", type=int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser, subs = _command_parser()
+    _add_checker_arguments(subs)
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, subs = _command_parser()
+    # Only lemma and scan read the checker table, and only they, or a line that names
+    # no known command (whose usage lists them), import lemmas.
+    if not argv or argv[0] not in COMMANDS or argv[0] in ("lemma", "scan"):
+        _add_checker_arguments(subs)
+    ns = parser.parse_args(argv)
     try:
         text = render(ns)
     except UsageError as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import sums_at_primes, theta0
+from .linnik import REDUCTION_CHUNK, sums_at_primes, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
     Params,
@@ -36,17 +36,13 @@ from .sieve import (
     open_range,
     prime_array,
     sigma_table,
-    totient_table,
+    totient_segments,
 )
-from .sieve import divisors_of  # noqa: F401  perfbench/tracer.py counts calls here
+from .sieve import divisors_of, totient_table  # noqa: F401  perfbench/tracer.py wraps them here
 
 Real = Union[int, float, Fraction]
 
 EXACT_SUM_TERM_LIMIT = 20_000
-
-# Entries per step of a reduction over a long array (the terms of an fsum),
-# so that no temporary spans it all; a float64 temporary of one step is 128 KiB.
-REDUCTION_CHUNK = 1 << 14
 
 # Most h values plus (h, d) terms hooley15_sums takes; each term is a Python object.
 HOOLEY15_TERM_LIMIT = 1_000_000
@@ -95,10 +91,10 @@ def _sum_ratios(terms, count: int) -> Union[Fraction, float]:
     return math.fsum(t / b for t, b in terms)
 
 
-def _fsum_chunks(arr: np.ndarray, f) -> float:
-    # fsum is correctly rounded: the chunking cannot change the result.
+def _fsum_chunks(arrays, f) -> float:
+    # fsum is correctly rounded: neither the chunks nor the arrays can change the result.
     step = REDUCTION_CHUNK
-    chunks = (f(arr[lo : lo + step]).tolist() for lo in range(0, arr.size, step))
+    chunks = (f(arr[lo : lo + step]).tolist() for arr in arrays for lo in range(0, arr.size, step))
     return math.fsum(itertools.chain.from_iterable(chunks))
 
 
@@ -110,7 +106,7 @@ def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
     """
     if dens.size <= EXACT_SUM_TERM_LIMIT:
         return arith.reciprocal_sum(dens)
-    return _fsum_chunks(dens, lambda c: 1.0 / c)
+    return _fsum_chunks([dens], lambda c: 1.0 / c)
 
 
 def _log_powers(x: int, omega: float) -> tuple[float, float]:
@@ -209,7 +205,7 @@ def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
         return sum((c * alpha_frac**k for k, c in enumerate(counts)), Fraction(0))
     af = float(alpha_frac)
     powers = np.array([af**k for k in range(int(om.max()) + 1)])
-    return _fsum_chunks(om, lambda c: powers[c])
+    return _fsum_chunks([om], lambda c: powers[c])
 
 
 def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, float]:
@@ -245,9 +241,11 @@ def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
         raise PreconditionError(f"q must be positive, got {q}")
     threshold = alpha * _loglog(y) - 1.0
     # om[q::q] holds Omega(n) for n = q, 2q, ..., up to y; none when q > y,
-    # and min keeps a q past int64 out of the product.
+    # and min keeps a q past int64 out of the product, taken in place.
     picked = np.flatnonzero(omega_table(y)[q::q] > threshold)
-    return _sum_reciprocals(min(q, y) * (picked + 1))
+    picked += 1
+    picked *= min(q, y)
+    return _sum_reciprocals(picked)
 
 
 def hooley14_partial(
@@ -344,10 +342,13 @@ def hooley15_sums(
 
 
 def murty_sum(X: int) -> Union[Fraction, float]:
-    """Sum over n <= X of 1/phi(n); exact below the term cutoff."""
+    """Sum over n <= X of 1/phi(n), phi a kernel segment at a time; exact below the term cutoff."""
     if X < 2:
         raise PreconditionError(f"murty_sum requires X >= 2, got {X}")
-    return _sum_reciprocals(totient_table(X)[1:])
+    phis = totient_segments(X)
+    if X <= EXACT_SUM_TERM_LIMIT:
+        return arith.reciprocal_sum(np.concatenate(list(phis)))
+    return _fsum_chunks(phis, lambda c: 1.0 / c)
 
 
 def _epq_scan(p: int, q: int, params: Params) -> tuple[int, int]:

@@ -28,6 +28,11 @@ from .sieve import (
 )
 from .sieve import chi_divisor_sums  # noqa: F401  perfbench/tracer.py times calls here
 
+# Entries per step of a pass over a long array (the terms of an fsum, the
+# Euler factors of a prime segment), so that no temporary spans it all; a
+# float64 temporary of one step is 128 KiB.
+REDUCTION_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class DiscrepancyRow:
@@ -114,6 +119,22 @@ def sum_r_shifted_primes(X: int) -> int:
     return 4 * sums_at_primes(X, 1, [], [(1, X)], np.uint8)[0].total
 
 
+def _euler_factors(primes: np.ndarray) -> np.ndarray:
+    """1 + chi(p)/(p(p - 1)) at the odd primes, by the IEEE steps p(p - 1), +-1/., +1.
+
+    Built into one float64 array REDUCTION_CHUNK primes at a time, so that
+    no other array the size of the primes is alive.
+    """
+    factors = np.empty(primes.size)
+    for lo in range(0, primes.size, REDUCTION_CHUNK):
+        p, f = primes[lo : lo + REDUCTION_CHUNK], factors[lo : lo + REDUCTION_CHUNK]
+        f[:] = p
+        f *= f - 1.0
+        np.divide(1 - (p & 2), f, out=f)  # chi(p) = 1 - (p & 2) at odd p
+        f += 1.0
+    return factors
+
+
 def linnik_constant(tolerance: float) -> LinnikConstant:
     """pi times the product of (1 + chi(p)/(p(p-1))) over odd primes p <= B.
 
@@ -130,19 +151,9 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
     bound = max(3, math.ceil(1.0 / tolerance))
     acc = 1.0
     for seg in iter_prime_segments(bound):
-        seg = seg[np.searchsorted(seg, 3) :]  # the odd primes, as a view
-        if seg.size == 0:
-            continue
-        # 1 + chi(p)/(p(p - 1)) in place, one IEEE operation per step as in
-        # the whole expression, so the bytes are the same and at most three
-        # arrays the size of the segment are alive at once.
-        den = seg.astype(np.float64)
-        den *= den - 1.0
-        factors = np.where(seg % 4 == 1, 1.0, -1.0)
-        factors /= den
-        factors += 1.0
-        acc *= float(np.prod(factors))
-        del den, factors  # before the next segment is sieved
+        factors = _euler_factors(seg[np.searchsorted(seg, 3) :])
+        acc *= float(np.prod(factors))  # one product per segment fixes the bytes
+        del seg, factors  # before the next segment is sieved
     return LinnikConstant(math.pi * acc, bound, 1.0 / bound)
 
 

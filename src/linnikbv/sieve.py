@@ -6,19 +6,21 @@ the enveloping-sieve value f.  Bulk tables are numpy arrays; per-n
 evaluators return plain Python ints.
 
 Memory policy: primes stream in odd-only segments of SEGMENT_LENGTH = 2**22
-numbers, each a 2**21-byte array struck by the one striking loop _strike.
-The bulk totient, sigma and Omega tables come from one prime-power kernel:
-only the returned table spans the whole range 0..limit (limit at most
-BULK_TABLE_LIMIT), while every working array is at most one kernel segment
-(TABLE_SEGMENT_LENGTH = 2**16 entries) long, and nothing is allocated at
-import.  Every chi-divisor array comes from one window kernel, by strided
-slice adds alone.  chi_range_sums reads b(m) at m = (p - 1)/2 (chi vanishes
-at even d, so b(2m) = b(m)) one block of m at a time, holding one window,
-whose entries at odd composites 2m + 1 _strike zeroes in place, so no array
-spans the range and it runs to STREAM_LIMIT; chi_divisor_sums is the kernel
-over a whole range under the bulk cap, cached.  The squarefree-prime
-product P is never formed; only its prime support below the smoothness
-bound Y is stored.  No prime stream goes past STREAM_LIMIT = 2**30.
+numbers, each a 2**21-byte array struck by the one striking loop _strike;
+the stream lets go of each segment it yields, so a consumer that drops it
+too holds one segment while the next is sieved.  Totient, sigma and Omega
+values come from one prime-power kernel in segments of TABLE_SEGMENT_LENGTH
+= 2**16 entries, no working array longer than one: totient_segments yields
+them, and only a bulk table (limit at most BULK_TABLE_LIMIT) spans the
+whole range 0..limit.  Nothing is allocated at import.  Every chi-divisor
+array comes from one window kernel, by strided slice adds alone.
+chi_range_sums reads b(m) at m = (p - 1)/2 (chi vanishes at even d, so
+b(2m) = b(m)) one block of m at a time, holding one window, whose entries
+at odd composites 2m + 1 _strike zeroes in place, so no array spans the
+range and it runs to STREAM_LIMIT; chi_divisor_sums is the kernel over a
+whole range under the bulk cap, cached.  The squarefree-prime product P is
+never formed; only its prime support below the smoothness bound Y is
+stored.  No prime stream goes past STREAM_LIMIT = 2**30.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def iter_prime_segments(limit: int) -> Iterator[np.ndarray]:
         seg = _sieve_segment(lo, min(lo + SEGMENT_LENGTH, limit + 1), base)
         if seg.size:
             yield seg
+        del seg  # so a consumer that drops it holds one segment while the next is sieved
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -256,25 +259,23 @@ def check_bulk_limit(limit: int) -> None:
         )
 
 
-def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.ndarray:
-    """Table over 0..limit folded from the prime powers of each n.
+def _prime_power_segments(limit: int, dtype, identity: int, local, leftover):
+    """Yield the table over [1, limit] folded from the prime powers of each n, a segment at a time.
 
-    Walks [1, limit] in segments of TABLE_SEGMENT_LENGTH entries.  In each
-    segment every prime p <= sqrt(limit) is divided out of the cofactor
-    array rem through strided views, one stride p^k per power, while e
-    counts the exponent of p at the multiples of p; local(view, p, e) then
-    folds p^e into the table entries at those multiples.  After the rounds
-    rem is 1 or the one prime factor above sqrt(limit), which
-    leftover(view, rem) folds in; each may overwrite e or rem, which die
-    after the call.  Entries start at identity; index 0 is 0.
+    Each segment holds TABLE_SEGMENT_LENGTH entries (the last may be
+    shorter), starting at identity.  In each segment every prime
+    p <= sqrt(limit) is divided out of the cofactor array rem through
+    strided views, one stride p^k per power, while e counts the exponent of
+    p at the multiples of p; local(view, p, e) then folds p^e into the
+    entries at those multiples.  After the rounds rem is 1 or the one prime
+    factor above sqrt(limit), which leftover(seg, rem) folds in; each may
+    overwrite e or rem, which die after the call.
     """
-    out = np.full(limit + 1, identity, dtype=dtype)
-    out[0] = 0
     base = _base_primes(isqrt(limit)).tolist()
     ones = np.ones(min(TABLE_SEGMENT_LENGTH, limit), dtype=np.int32)
     for lo in range(1, limit + 1, TABLE_SEGMENT_LENGTH):
         hi = min(lo + TABLE_SEGMENT_LENGTH, limit + 1)
-        seg = out[lo:hi]
+        seg = np.full(hi - lo, identity, dtype=dtype)
         rem = np.arange(lo, hi, dtype=np.int32)
         for p in base:
             start = -lo % p
@@ -290,6 +291,17 @@ def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.
                 pk *= p
             local(view, p, e)
         leftover(seg, rem)
+        yield seg
+
+
+def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.ndarray:
+    """The segments of _prime_power_segments laid into one table over 0..limit; index 0 is 0."""
+    out = np.empty(limit + 1, dtype=dtype)
+    out[0] = 0
+    lo = 1
+    for seg in _prime_power_segments(limit, dtype, identity, local, leftover):
+        out[lo : lo + seg.size] = seg
+        lo += seg.size
     return out
 
 
@@ -384,6 +396,12 @@ def _phi_local(view, p, e):
 def _phi_leftover(view, rem):
     rem -= 1
     view *= np.maximum(rem, 1, out=rem)
+
+
+def totient_segments(limit: int) -> Iterator[np.ndarray]:
+    """Euler phi over 1..limit as ascending int32 segments of TABLE_SEGMENT_LENGTH entries."""
+    check_bulk_limit(limit)
+    return _prime_power_segments(limit, np.int32, 1, _phi_local, _phi_leftover)
 
 
 @lru_cache(maxsize=4)

@@ -6,6 +6,7 @@ have something honest to be checked against.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -330,3 +331,13 @@ def chi_range_sums(limit, D):
         if d >= upper:
             high[d::d] += c
     return low, mid, high
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc's peak over the call fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

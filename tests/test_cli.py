@@ -515,3 +515,40 @@ def test_which_outside_its_choices_is_a_usage_error(capsys):
         cli.main(["lemma", "hooley15", "--x", "1000", "--u", "5", "--n", "6", "--which", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (None, False),
+        (["rsum", "--x", "1000"], False),
+        (["constant", "--tolerance", "1e-3"], False),
+        (["lemma", "murty", "--x", "100"], True),
+        (["scan", "murty", "--x", "100"], True),
+    ],
+)
+def test_only_checker_commands_import_lemmas(argv, imported):
+    # A command that reads no checker never compiles the checkers.
+    run = f"cli.main({argv!r})" if argv else "pass"
+    out = fresh_python(f"import sys\nfrom linnikbv import cli\n{run}\n"
+                       "print('linnikbv.lemmas' in sys.modules)")
+    assert out.splitlines()[-1] == str(imported)
+
+
+PARSER_EXITS = [
+    [], ["--help"], ["bogus"], ["lemma", "nope"], ["lemma", "hooley15", "--which", "4"],
+    ["rsum", "--help"], ["lemma", "--help"], ["scan", "--help"], ["rsum", "--x", "9", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_exits_as_the_full_parser(capsys, argv):
+    # main adds the checker table's arguments only where the line may need
+    # them; every line still prints and exits as under build_parser().
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        cli.main(argv)
+    assert got.value.code == full.value.code
+    assert capsys.readouterr() == expected

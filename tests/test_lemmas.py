@@ -376,6 +376,25 @@ def test_murty_fsum_past_the_term_limit():
     assert value == math.fsum(float(Fraction(1, int(phi[n]))) for n in range(1, X + 1))
 
 
+def test_murty_sum_builds_no_phi_table():
+    # phi comes one kernel segment at a time: the segment, its cofactors
+    # and the kernel's ones and exponent arrays are at most four int32
+    # arrays of TABLE_SEGMENT_LENGTH (1 MiB), and one fsum chunk is
+    # REDUCTION_CHUNK float64s and as many Python floats (640 KiB), within
+    # 2 MiB.  The int32 phi table over 1..10^6 alone is 4 MB.
+    assert oracles.peak_bytes(lemmas.murty_sum, 10**6) < 1 << 21
+
+
+def test_hooley13q_sum_scales_the_picked_indices_in_place():
+    # With the Omega table built first: the int64 indices of the picked
+    # multiples of q and the bool mask they come from, 9 bytes per multiple
+    # of q up to y, and one fsum chunk (640 KiB) within 1 MiB.  One more
+    # int64 copy of the indices, as for n = q * (picked + 1), adds 2 MB.
+    y, q = 10**6, 4
+    sieve.omega_table(y)
+    assert oracles.peak_bytes(lemmas.hooley13q_sum, y, 1.25, q) < 9 * (y // q) + (1 << 20)
+
+
 def test_epq_empty_range():
     params = Params(10**4, 0.0, 1, override_exponent=-1.0)  # D > X/D
     assert lemmas.e_pq(101, 4, params) == 0

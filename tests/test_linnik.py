@@ -1,5 +1,5 @@
+import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -90,6 +90,16 @@ def test_linnik_constant_exact_floats():
     # Exact floats, pinned like the 1e-8 and 1e-9 values above.
     assert linnik.linnik_constant(1e-6).value == 2.6740320174536163
     assert linnik.linnik_constant(1e-7).value == 2.6740320175588885
+
+
+def test_linnik_constant_holds_one_float_array_per_segment():
+    # Below 10^8 the largest prime segment is the first past 10^4, about
+    # 295 000 primes: int64 primes and float64 factors of that size, 2.3 MB
+    # each, with three chunk temporaries of 128 KiB beside them and the
+    # sieve's small lists within 1 MiB.  A copy of the primes as float, a
+    # seg % 4, or the last segment held while the next is sieved adds 2 MB.
+    seg_bytes = next(itertools.islice(sieve.iter_prime_segments(10**8), 1, None)).nbytes
+    assert oracles.peak_bytes(linnik.linnik_constant, 1e-8) < 2 * seg_bytes + (1 << 20)
 
 
 def test_discrepancy_trivial_modulus():
@@ -317,40 +327,31 @@ BIG_X = 1 << 24
 BLOCK = sieve.shifted_block_length(BIG_X)
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_prime_weights_hold_a_byte_chi_table():
     # One uint8 window, 1 MiB, and the sieve's and the kernel's small
     # working arrays; a mask beside it, or a window kept alive while the
     # next is built, adds 1 MiB.
     assert BLOCK == 1 << 20
-    assert _peak_bytes(linnik.bv_sum, Params(BIG_X, 1.0, 1)) < 2 * BLOCK
+    assert oracles.peak_bytes(linnik.bv_sum, Params(BIG_X, 1.0, 1)) < 2 * BLOCK
 
 
 def test_decompose_holds_one_window_at_a_time():
     # One int16 window, 2 MiB; a mask beside it adds 1 MiB, and a second
     # window alive at once 2 MiB.
     params = Params(BIG_X, 1.0, 1, override_exponent=2)
-    assert _peak_bytes(linnik.decompose, params) < 3 * BLOCK
+    assert oracles.peak_bytes(linnik.decompose, params) < 3 * BLOCK
 
 
 def test_sum_r_builds_no_array_over_the_range():
     # One uint8 window, 1 MiB; a mask beside it adds 1 MiB, and a uint8
     # weight array over 0..X alone would be 16 MiB.
-    assert _peak_bytes(linnik.sum_r_shifted_primes, BIG_X) < 2 * BLOCK
+    assert oracles.peak_bytes(linnik.sum_r_shifted_primes, BIG_X) < 2 * BLOCK
 
 
 def test_discrepancy_builds_no_array_over_the_range():
     # The class sum and the total come from the same window, as for
     # sum_r_shifted_primes.
-    assert _peak_bytes(linnik.discrepancy, BIG_X, 3, 1) < 2 * BLOCK
+    assert oracles.peak_bytes(linnik.discrepancy, BIG_X, 3, 1) < 2 * BLOCK
 
 
 @pytest.mark.parametrize("q, a", [(1, 1), (3, 1), (4, 3), (97, 5), (200003, 17)])

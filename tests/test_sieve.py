@@ -65,6 +65,23 @@ def _assert_segment_shape(limit):
         assert arr.tolist() == seg, limit
 
 
+def _consume_and_drop(limit):
+    for seg in sieve.iter_prime_segments(limit):
+        del seg
+
+
+def test_prime_segments_are_released_as_they_are_consumed():
+    # A consumer that drops each segment holds one: the bool array of odd
+    # numbers being struck (SEGMENT_LENGTH / 2 bytes) beside the int64
+    # primes read off it, the first segment past sqrt(2^25) being the
+    # largest.  A generator that keeps the last segment alive while it
+    # sieves the next adds a second int64 segment, 2.3 MB.
+    limit = 1 << 25
+    largest = max(seg.nbytes for seg in sieve.iter_prime_segments(limit))
+    bound = sieve.SEGMENT_LENGTH // 2 + largest + (1 << 18)
+    assert oracles.peak_bytes(_consume_and_drop, limit) < bound
+
+
 def test_prime_segment_shape_pinned(monkeypatch):
     # linnik_constant multiplies per segment, so its float bytes depend on
     # exactly these boundaries.
