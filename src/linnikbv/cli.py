@@ -99,8 +99,14 @@ def _checker_inputs(ns, checker):
 def _primes(ns):
     _require(ns, "x")
     check_bulk_limit(ns.x)
-    rows = ({"p": p} for seg in iter_prime_segments(ns.x) for p in seg.tolist())
-    return rows, ["p"], {"x": ns.x}
+    return _prime_rows(ns.x), ["p"], {"x": ns.x}
+
+
+def _prime_rows(x):
+    for seg in iter_prime_segments(x):
+        for p in seg.tolist():
+            yield {"p": p}
+        del seg  # before the next segment is sieved
 
 
 def _rsum(ns):

@@ -17,24 +17,25 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import arith
 from .arith import Residue
 from .errors import PreconditionError
-from .linnik import REDUCTION_CHUNK, sums_at_primes, theta0
+from .linnik import REDUCTION_CHUNK, odd_classes, sums_at_primes, theta0
 from .sieve import (
     BULK_TABLE_LIMIT,
     Params,
     check_bulk_limit,
     check_stream_limit,
     f_enveloping,
-    iter_prime_segments,
+    omega_segments,
     omega_table,
     open_range,
     prime_array,
+    prime_masks,
     sigma_table,
     totient_segments,
 )
@@ -142,8 +143,12 @@ def brun_titchmarsh_check(X: int, q: int, a: int) -> BrunTitchmarshResult:
         raise PreconditionError(f"brun_titchmarsh_check requires 1 <= q < X, got q={q}, X={X}")
     if gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q}) > 1")
-    # Counted segment by segment, so memory stays O(segment) up to the streaming limit.
-    count = sum(int(np.count_nonzero(seg % q == a % q)) for seg in iter_prime_segments(X))
+    base, masks = prime_masks(X)
+    count = int(2 % q == a % q) + int(np.count_nonzero(base[1:] % q == a % q))
+    (s,), (k,) = odd_classes(a, [q])
+    for first, mask in masks:  # one odd mask at a time, up to the streaming limit
+        count += int(np.count_nonzero(mask[(s - first // 2) % k :: k]))
+        del mask  # before the next mask is struck
     bound = 2.0 * X / (arith.euler_phi(q) * math.log(2.0 * X / q))
     return BrunTitchmarshResult(count, bound, count < bound)
 
@@ -240,12 +245,27 @@ def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
     threshold = alpha * _loglog(y) - 1.0
-    # om[q::q] holds Omega(n) for n = q, 2q, ..., up to y; none when q > y,
-    # and min keeps a q past int64 out of the product, taken in place.
-    picked = np.flatnonzero(omega_table(y)[q::q] > threshold)
-    picked += 1
-    picked *= min(q, y)
-    return _sum_reciprocals(picked)
+    segments = omega_segments(y)  # the bulk cap is checked before any work
+    picks = _multiples_above(segments, q, threshold) if q <= y else iter(())
+    held, count = [np.empty(0, dtype=np.int64)], 0
+    for n in picks:
+        held.append(n)
+        count += n.size
+        if count > EXACT_SUM_TERM_LIMIT:  # fsum is correctly rounded, so the split cannot show
+            return _fsum_chunks(itertools.chain(held, picks), lambda c: 1.0 / c)
+    return arith.reciprocal_sum(np.concatenate(held))
+
+
+def _multiples_above(segments, q: int, threshold: float) -> Iterator[np.ndarray]:
+    """Per Omega segment, the multiples n of q in it with Omega(n) > threshold."""
+    lo = 1
+    for om in segments:
+        offset = -lo % q
+        n = np.flatnonzero(om[offset::q] > threshold)
+        n *= q
+        n += lo + offset
+        lo += om.size
+        yield n
 
 
 def hooley14_partial(

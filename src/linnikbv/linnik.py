@@ -22,14 +22,14 @@ from .sieve import (
     Params,
     check_bulk_limit,
     chi_range_sums,
-    iter_prime_segments,
     open_range,
+    prime_masks,
     totient_table,
 )
 from .sieve import chi_divisor_sums  # noqa: F401  perfbench/tracer.py times calls here
 
 # Entries per step of a pass over a long array (the terms of an fsum, the
-# Euler factors of a prime segment), so that no temporary spans it all; a
+# odd mask of a prime segment), so that no temporary spans it all; a
 # float64 temporary of one step is 128 KiB.
 REDUCTION_CHUNK = 1 << 14
 
@@ -83,19 +83,27 @@ class RangeSums(NamedTuple):
     abs_total: int
 
 
-def sums_at_primes(X: int, a: int, moduli: list[int], ranges, dtype=np.int16) -> list[RangeSums]:
-    """Per (first, last) of ranges, the sums of chi(d) over d | p - 1, first <= d <= last, p <= X.
+def odd_classes(a: int, moduli: list[int]) -> tuple[list[int], list[int]]:
+    """Lists of s and k per q of moduli: the odd p = a (mod q) are the 2m + 1 with m = s (mod k).
 
-    classes[i] sums over p = a (mod q), q = moduli[i], (a, q) = 1: in
-    m = (p - 1)/2 that is m = (a - 1)(q + 1)/2 (mod q) for odd q, where
-    (q + 1)/2 inverts 2, and m = (a - 1)/2 (mod q/2) for even q, one
-    strided sum per block.  p = 2 adds b(1) where 2 = a (mod q).  abs_total
-    is kept for a signed dtype only.
+    For (a, q) = 1, m = (a - 1)(q + 1)/2 (mod q) for odd q, where (q + 1)/2
+    inverts 2, and m = (a - 1)/2 (mod q/2) for even q.
     """
     strides = [q if q % 2 else q // 2 for q in moduli]
     starts = [
         ((a - 1) * (q + 1) // 2 if q % 2 else (a - 1) // 2) % k for q, k in zip(moduli, strides)
     ]
+    return starts, strides
+
+
+def sums_at_primes(X: int, a: int, moduli: list[int], ranges, dtype=np.int16) -> list[RangeSums]:
+    """Per (first, last) of ranges, the sums of chi(d) over d | p - 1, first <= d <= last, p <= X.
+
+    classes[i] sums over p = a (mod q), q = moduli[i], (a, q) = 1, one
+    strided sum over the m = (p - 1)/2 of odd_classes per block.  p = 2 adds
+    b(1) where 2 = a (mod q).  abs_total is kept for a signed dtype only.
+    """
+    starts, strides = odd_classes(a, moduli)
     sums = []
     for first, last in ranges:
         two = int(first <= 1 <= last)
@@ -119,20 +127,13 @@ def sum_r_shifted_primes(X: int) -> int:
     return 4 * sums_at_primes(X, 1, [], [(1, X)], np.uint8)[0].total
 
 
-def _euler_factors(primes: np.ndarray) -> np.ndarray:
-    """1 + chi(p)/(p(p - 1)) at the odd primes, by the IEEE steps p(p - 1), +-1/., +1.
-
-    Built into one float64 array REDUCTION_CHUNK primes at a time, so that
-    no other array the size of the primes is alive.
-    """
-    factors = np.empty(primes.size)
-    for lo in range(0, primes.size, REDUCTION_CHUNK):
-        p, f = primes[lo : lo + REDUCTION_CHUNK], factors[lo : lo + REDUCTION_CHUNK]
-        f[:] = p
-        f *= f - 1.0
-        np.divide(1 - (p & 2), f, out=f)  # chi(p) = 1 - (p & 2) at odd p
-        f += 1.0
-    return factors
+def _euler_fold(p: np.ndarray, prod: float) -> float:
+    """prod times 1 + chi(p)/(p(p - 1)) over the odd primes p, by the steps p(p - 1), +-1/., +1."""
+    f = p.astype(np.float64)
+    f *= f - 1.0
+    np.divide(1 - (p & 2), f, out=f)  # chi(p) = 1 - (p & 2) at odd p
+    f += 1.0
+    return float(np.multiply.reduce(f, initial=prod))  # a left-to-right fold
 
 
 def linnik_constant(tolerance: float) -> LinnikConstant:
@@ -149,11 +150,17 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
             f"tolerance and its reciprocal must be positive and finite, got {tolerance}"
         )
     bound = max(3, math.ceil(1.0 / tolerance))
-    acc = 1.0
-    for seg in iter_prime_segments(bound):
-        factors = _euler_factors(seg[np.searchsorted(seg, 3) :])
-        acc *= float(np.prod(factors))  # one product per segment fixes the bytes
-        del seg, factors  # before the next segment is sieved
+    base, masks = prime_masks(bound)
+    acc = _euler_fold(base[1:], 1.0)  # one product per segment fixes the bytes
+    for first, mask in masks:
+        prod = 1.0
+        for lo in range(0, mask.size, REDUCTION_CHUNK):
+            p = np.flatnonzero(mask[lo : lo + REDUCTION_CHUNK])
+            p *= 2
+            p += first + 2 * lo
+            prod = _euler_fold(p, prod)
+        acc *= prod
+        del mask  # before the next mask is struck
     return LinnikConstant(math.pi * acc, bound, 1.0 / bound)
 
 
@@ -196,14 +203,14 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, top + 1) if math.gcd(q, params.a) == 1]
 
 
-def _gap_sum(sums: RangeSums, moduli: list[int]) -> Fraction:
+def _gap_sum(classes: list[int], total: int, moduli: list[int]) -> Fraction:
     """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q the class sums and T the total.
 
     |W_q - T/phi| = |W_q phi - T| / phi, so the integer gaps are summed
     exactly by one arith.reciprocal_sum over their phi(q).
     """
     phis = _totients(moduli)
-    gaps = (abs(w * phi - sums.total) for w, phi in zip(sums.classes, phis.tolist()))
+    gaps = (abs(w * phi - total) for w, phi in zip(classes, phis.tolist()))
     return arith.reciprocal_sum(phis, gaps)
 
 
@@ -217,7 +224,7 @@ def bv_sum(params: Params) -> Fraction:
     moduli = _moduli(params)
     X = params.X
     (full,) = sums_at_primes(X, params.a, moduli, [(1, X)], np.uint8)
-    return 4 * _gap_sum(full, moduli)
+    return 4 * _gap_sum(full.classes, full.total, moduli)
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -253,9 +260,8 @@ def decompose(params: Params) -> DecompositionResult:
     divisor ranges; S3 carries 1/phi(q) outside an absolute value taken
     per prime over the middle range (D < d < X/D, the d of open_range);
     S4 is the progression-restricted middle-range sum with no main term
-    subtracted.  sums_at_primes reads the three ranges and the lhs's full
-    range from the same blocks, one int16 window at a time (|b| <= 96).
-    The lhs equals bv_sum.
+    subtracted.  sums_at_primes reads the ranges from the same blocks, one
+    int16 window at a time (|b| <= 96).  The lhs equals bv_sum.
     """
     if params.D < 2:
         raise PreconditionError(
@@ -265,11 +271,15 @@ def decompose(params: Params) -> DecompositionResult:
     X = params.X
     moduli = _moduli(params)
     first, last = open_range(params.D, X / params.D)
-    low, mid, high, full = sums_at_primes(
-        X, params.a, moduli, [(1, first - 1), (first, last), (last + 1, X), (1, X)]
-    )
-    S1 = _gap_sum(low, moduli)
-    S2 = _gap_sum(high, moduli)
+    ranges = [(1, first - 1), (first, last), (last + 1, X)]
+    if first > last + 1:  # D >= X/D: the low and high ranges overlap
+        ranges.append((1, X))  # so the lhs reads its own window
+    low, mid, high, *whole = sums_at_primes(X, params.a, moduli, ranges)
+    parts = whole or (low, mid, high)
+    classes = [sum(c) for c in zip(*(part.classes for part in parts))]
+    lhs = 4 * _gap_sum(classes, sum(part.total for part in parts), moduli)
+    S1 = _gap_sum(low.classes, low.total, moduli)
+    S2 = _gap_sum(high.classes, high.total, moduli)
     S3 = mid.abs_total * arith.reciprocal_sum(_totients(moduli))
     S4 = Fraction(sum(map(abs, mid.classes)))
-    return DecompositionResult(S1, S2, S3, S4, 4 * _gap_sum(full, moduli), params)
+    return DecompositionResult(S1, S2, S3, S4, lhs, params)

@@ -6,11 +6,12 @@ the enveloping-sieve value f.  Bulk tables are numpy arrays; per-n
 evaluators return plain Python ints.
 
 Memory policy: primes stream in odd-only segments of SEGMENT_LENGTH = 2**22
-numbers, each a 2**21-byte array struck by the one striking loop _strike;
+numbers, each a 2**21-byte odd_mask struck by the one striking loop _strike;
 the stream lets go of each segment it yields, so a consumer that drops it
-too holds one segment while the next is sieved.  Totient, sigma and Omega
-values come from one prime-power kernel in segments of TABLE_SEGMENT_LENGTH
-= 2**16 entries, no working array longer than one: totient_segments yields
+too holds one segment while the next is sieved (prime_masks hands out the
+masks themselves).  Totient, sigma and Omega values come from one
+prime-power kernel in segments of TABLE_SEGMENT_LENGTH = 2**16 entries, no
+working array longer than one: totient_segments and omega_segments yield
 them, and only a bulk table (limit at most BULK_TABLE_LIMIT) spans the
 whole range 0..limit.  Nothing is allocated at import.  Every chi-divisor
 array comes from one window kernel, by strided slice adds alone.
@@ -70,17 +71,21 @@ def _strike(arr: np.ndarray, first: int, base: np.ndarray) -> None:
         arr[(start - first) // 2 :: p] = 0
 
 
+def odd_mask(first: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Bool array over the odd first + 2i < hi, first >= 3, true at the primes; base as below."""
+    odd = np.ones((hi - first + 1) // 2, dtype=bool)
+    _strike(odd, first, base)
+    return odd
+
+
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
 
-    The odd primes are read off a bool array over the odd numbers that
-    _strike leaves true at the primes, and 2 is added when the segment
+    The odd primes are read off odd_mask, and 2 is added when the segment
     starts at 2.
     """
     first = lo | 1
-    odd = np.ones((hi - first + 1) // 2, dtype=bool)
-    _strike(odd, first, base)
-    primes = np.flatnonzero(odd)
+    primes = np.flatnonzero(odd_mask(first, hi, base))
     primes *= 2
     primes += first
     return np.insert(primes, 0, 2) if lo == 2 else primes
@@ -111,6 +116,24 @@ def iter_prime_segments(limit: int) -> Iterator[np.ndarray]:
         if seg.size:
             yield seg
         del seg  # so a consumer that drops it holds one segment while the next is sieved
+
+
+def prime_masks(limit: int) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """The primes <= sqrt(limit), then (first, odd_mask) per later segment of iter_prime_segments.
+
+    The stream limit is checked before any sieving.
+    """
+    check_stream_limit(limit)
+    root = isqrt(limit)
+    base = _base_primes(root)
+
+    def masks():
+        for lo in range(max(root + 1, 2), limit + 1, SEGMENT_LENGTH):
+            mask = odd_mask(lo | 1, min(lo + SEGMENT_LENGTH, limit + 1), base)
+            yield lo | 1, mask
+            del mask  # before the next mask is struck
+
+    return base, masks()
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -437,6 +460,12 @@ def _omega_local(view, p, e):
 
 def _omega_leftover(view, rem):
     view += rem > 1
+
+
+def omega_segments(limit: int) -> Iterator[np.ndarray]:
+    """Omega over 1..limit as ascending uint8 segments of TABLE_SEGMENT_LENGTH entries."""
+    check_bulk_limit(limit)
+    return _prime_power_segments(limit, np.uint8, 0, _omega_local, _omega_leftover)
 
 
 @lru_cache(maxsize=4)

@@ -84,6 +84,29 @@ def test_brun_titchmarsh_counts_match_oracle():
         assert lemmas.brun_titchmarsh_check(X, q, a).count == oracles.pi_progression(X, q, a)
 
 
+@pytest.mark.parametrize("length", [None, 1, 7, 64])
+def test_brun_titchmarsh_strided_count_matches_oracle(monkeypatch, length):
+    # Past sqrt(X) the count is one strided slice per odd mask, whose start
+    # moves with each mask's first odd number.
+    if length:
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", length)
+    for X in (2, 3, 4, 99, 100, 2003):
+        for q in (1, 2, 3, 4, 8, 9, 10, 12):
+            if q >= X:
+                continue
+            for a in range(q):
+                if gcd(a, q) == 1:
+                    got = lemmas.brun_titchmarsh_check(X, q, a).count
+                    assert got == oracles.pi_progression(X, q, a), (X, q, a)
+
+
+def test_brun_titchmarsh_holds_one_odd_mask():
+    # The odd mask of one segment (SEGMENT_LENGTH / 2 bytes) and the base
+    # primes; int64 primes of a segment at 2^25 alone are 2.3 MB.
+    bound = sieve.SEGMENT_LENGTH // 2 + (1 << 18)
+    assert oracles.peak_bytes(lemmas.brun_titchmarsh_check, 1 << 25, 3, 1) < bound
+
+
 def test_brun_titchmarsh_preconditions():
     with pytest.raises(PreconditionError):
         lemmas.brun_titchmarsh_check(100, 100, 1)
@@ -386,13 +409,13 @@ def test_murty_sum_builds_no_phi_table():
 
 
 def test_hooley13q_sum_scales_the_picked_indices_in_place():
-    # With the Omega table built first: the int64 indices of the picked
-    # multiples of q and the bool mask they come from, 9 bytes per multiple
-    # of q up to y, and one fsum chunk (640 KiB) within 1 MiB.  One more
-    # int64 copy of the indices, as for n = q * (picked + 1), adds 2 MB.
-    y, q = 10**6, 4
-    sieve.omega_table(y)
-    assert oracles.peak_bytes(lemmas.hooley13q_sum, y, 1.25, q) < 9 * (y // q) + (1 << 20)
+    # Omega comes one kernel segment at a time, as phi does for murty_sum:
+    # four kernel arrays of TABLE_SEGMENT_LENGTH at most 32 bits wide
+    # (1 MiB), the picks of one segment in place and those held up to the
+    # term cutoff (under 300 KB), and one fsum chunk within 2 MiB.  The
+    # whole-range uint8 Omega table over 0..10^6 is 1 MB, and an int64
+    # index per multiple of 4 up to 10^6 is 2 MB.
+    assert oracles.peak_bytes(lemmas.hooley13q_sum, 10**6, 1.25, 4) < 1 << 21
 
 
 def test_epq_empty_range():

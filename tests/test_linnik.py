@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -92,14 +91,14 @@ def test_linnik_constant_exact_floats():
     assert linnik.linnik_constant(1e-7).value == 2.6740320175588885
 
 
-def test_linnik_constant_holds_one_float_array_per_segment():
-    # Below 10^8 the largest prime segment is the first past 10^4, about
-    # 295 000 primes: int64 primes and float64 factors of that size, 2.3 MB
-    # each, with three chunk temporaries of 128 KiB beside them and the
-    # sieve's small lists within 1 MiB.  A copy of the primes as float, a
-    # seg % 4, or the last segment held while the next is sieved adds 2 MB.
-    seg_bytes = next(itertools.islice(sieve.iter_prime_segments(10**8), 1, None)).nbytes
-    assert oracles.peak_bytes(linnik.linnik_constant, 1e-8) < 2 * seg_bytes + (1 << 20)
+def test_linnik_constant_holds_one_bool_mask_per_segment():
+    # The primes are read off each segment's odd mask (SEGMENT_LENGTH / 2
+    # bytes) REDUCTION_CHUNK entries at a time: a few int64 and float64
+    # chunk temporaries of 128 KiB and the sieve's small lists fit in
+    # 1 MiB.  The int64 primes of the largest segment below 10^8 alone are
+    # 2.3 MB, and a mask held while the next is struck adds 2 MiB.
+    bound = sieve.SEGMENT_LENGTH // 2 + (1 << 20)
+    assert oracles.peak_bytes(linnik.linnik_constant, 1e-8) < bound
 
 
 def test_discrepancy_trivial_modulus():
@@ -287,6 +286,32 @@ def test_decompose_components_nonnegative_and_lhs_consistent():
         assert part >= 0
     assert result.lhs == linnik.bv_sum(params)
     assert result.total == result.S1 + result.S2 + result.S3 + result.S4
+
+
+@pytest.mark.parametrize(
+    "X, A, a, exponent, windows",
+    [
+        # D < X/D: the low, mid and high ranges partition [1, X].
+        (10**4, 1.0, 3, 1.0, 3),
+        (10**4, 2.0, 10007, 1.5, 3),
+        (10**5, 1.5, 4, 2.0, 3),
+        # D = X/D = 100 and D > X/D: the lhs reads the range (1, X) itself.
+        (10**4, 1.0, 1, 0.0, 4),
+        (10**4, 1.0, 3, -1.0, 4),
+    ],
+)
+def test_decompose_lhs_equals_bv_sum(monkeypatch, X, A, a, exponent, windows):
+    read = []
+
+    def sums_at_primes(X, a, moduli, ranges, *rest):
+        read.append(len(ranges))
+        return linnik_sums_at_primes(X, a, moduli, ranges, *rest)
+
+    linnik_sums_at_primes = linnik.sums_at_primes
+    monkeypatch.setattr(linnik, "sums_at_primes", sums_at_primes)
+    params = Params(X, A, a, override_exponent=exponent)
+    assert linnik.decompose(params).lhs == linnik.bv_sum(params)
+    assert read == [windows, 1]
 
 
 @pytest.mark.parametrize(
