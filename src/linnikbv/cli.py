@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 precondition error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
@@ -65,8 +66,6 @@ def emit_report(rows, fmt, command, params, columns) -> str:
             sep = ", "
         buf.write("]}\n")
         return buf.getvalue()
-    import csv  # only CSV reports load it
-
     writer = csv.writer(buf)
     writer.writerow(columns)
     for r in rows:

@@ -99,15 +99,24 @@ def _fsum_chunks(arrays, f) -> float:
     return math.fsum(itertools.chain.from_iterable(chunks))
 
 
-def _sum_reciprocals(dens: np.ndarray) -> Union[Fraction, float]:
-    """Sum of 1/n over the integer array dens, exact up to the term cutoff.
+def _sum_reciprocals(arrays) -> Union[Fraction, float]:
+    """Sum of 1/n over the integer arrays, exact up to the term cutoff.
 
-    Past it, 1.0/n equals float(Fraction(1, n)) for n < 2**53, so the fsum
-    has the bytes of a per-term fsum of the Fractions.
+    The arrays are held until their total size passes the cutoff; from there
+    they stream into fsum.  1.0/n equals float(Fraction(1, n)) for n < 2**53,
+    and fsum is correctly rounded, so it has the bytes of a per-term fsum of
+    the Fractions.
     """
-    if dens.size <= EXACT_SUM_TERM_LIMIT:
-        return arith.reciprocal_sum(dens)
-    return _fsum_chunks([dens], lambda c: 1.0 / c)
+    arrays = iter(arrays)
+    held, count = [np.empty(0, dtype=np.int64)], 0
+    for dens in arrays:
+        held.append(dens)
+        count += dens.size
+        if count > EXACT_SUM_TERM_LIMIT:
+            terms = itertools.chain(iter(held), arrays)  # an exhausted iter lets go of held
+            del held, dens  # so the arrays held so far go once they are summed
+            return _fsum_chunks(terms, lambda c: 1.0 / c)
+    return arith.reciprocal_sum(np.concatenate(held))
 
 
 def _log_powers(x: int, omega: float) -> tuple[float, float]:
@@ -233,7 +242,7 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
     threshold = alpha * _loglog(y)
     first, last = open_range(lo, hi)  # last <= int(hi)
     ns = np.arange(first, last + 1)
-    return _sum_reciprocals(ns[omega_table(int(hi))[ns] <= threshold])
+    return _sum_reciprocals([ns[omega_table(int(hi))[ns] <= threshold]])
 
 
 def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
@@ -246,14 +255,7 @@ def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
         raise PreconditionError(f"q must be positive, got {q}")
     threshold = alpha * _loglog(y) - 1.0
     segments = omega_segments(y)  # the bulk cap is checked before any work
-    picks = _multiples_above(segments, q, threshold) if q <= y else iter(())
-    held, count = [np.empty(0, dtype=np.int64)], 0
-    for n in picks:
-        held.append(n)
-        count += n.size
-        if count > EXACT_SUM_TERM_LIMIT:  # fsum is correctly rounded, so the split cannot show
-            return _fsum_chunks(itertools.chain(held, picks), lambda c: 1.0 / c)
-    return arith.reciprocal_sum(np.concatenate(held))
+    return _sum_reciprocals(_multiples_above(segments, q, threshold) if q <= y else ())
 
 
 def _multiples_above(segments, q: int, threshold: float) -> Iterator[np.ndarray]:
@@ -365,10 +367,7 @@ def murty_sum(X: int) -> Union[Fraction, float]:
     """Sum over n <= X of 1/phi(n), phi a kernel segment at a time; exact below the term cutoff."""
     if X < 2:
         raise PreconditionError(f"murty_sum requires X >= 2, got {X}")
-    phis = totient_segments(X)
-    if X <= EXACT_SUM_TERM_LIMIT:
-        return arith.reciprocal_sum(np.concatenate(list(phis)))
-    return _fsum_chunks(phis, lambda c: 1.0 / c)
+    return _sum_reciprocals(totient_segments(X))
 
 
 def _epq_scan(p: int, q: int, params: Params) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from .sieve import (
     Params,
     check_bulk_limit,
     chi_range_sums,
+    odd_primes,
     open_range,
     prime_masks,
     totient_table,
@@ -155,10 +156,7 @@ def linnik_constant(tolerance: float) -> LinnikConstant:
     for first, mask in masks:
         prod = 1.0
         for lo in range(0, mask.size, REDUCTION_CHUNK):
-            p = np.flatnonzero(mask[lo : lo + REDUCTION_CHUNK])
-            p *= 2
-            p += first + 2 * lo
-            prod = _euler_fold(p, prod)
+            prod = _euler_fold(odd_primes(first + 2 * lo, mask[lo : lo + REDUCTION_CHUNK]), prod)
         acc *= prod
         del mask  # before the next mask is struck
     return LinnikConstant(math.pi * acc, bound, 1.0 / bound)
@@ -203,14 +201,14 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, top + 1) if math.gcd(q, params.a) == 1]
 
 
-def _gap_sum(classes: list[int], total: int, moduli: list[int]) -> Fraction:
+def _gap_sum(sums: RangeSums, moduli: list[int]) -> Fraction:
     """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q the class sums and T the total.
 
     |W_q - T/phi| = |W_q phi - T| / phi, so the integer gaps are summed
     exactly by one arith.reciprocal_sum over their phi(q).
     """
     phis = _totients(moduli)
-    gaps = (abs(w * phi - total) for w, phi in zip(classes, phis.tolist()))
+    gaps = (abs(w * phi - sums.total) for w, phi in zip(sums.classes, phis.tolist()))
     return arith.reciprocal_sum(phis, gaps)
 
 
@@ -224,7 +222,7 @@ def bv_sum(params: Params) -> Fraction:
     moduli = _moduli(params)
     X = params.X
     (full,) = sums_at_primes(X, params.a, moduli, [(1, X)], np.uint8)
-    return 4 * _gap_sum(full.classes, full.total, moduli)
+    return 4 * _gap_sum(full, moduli)
 
 
 def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
@@ -276,10 +274,10 @@ def decompose(params: Params) -> DecompositionResult:
         ranges.append((1, X))  # so the lhs reads its own window
     low, mid, high, *whole = sums_at_primes(X, params.a, moduli, ranges)
     parts = whole or (low, mid, high)
-    classes = [sum(c) for c in zip(*(part.classes for part in parts))]
-    lhs = 4 * _gap_sum(classes, sum(part.total for part in parts), moduli)
-    S1 = _gap_sum(low.classes, low.total, moduli)
-    S2 = _gap_sum(high.classes, high.total, moduli)
+    classes = [sum(c) for c in zip(*(s.classes for s in parts))]
+    full = RangeSums(classes, sum(s.total for s in parts), 0)
+    S1 = _gap_sum(low, moduli)
+    S2 = _gap_sum(high, moduli)
     S3 = mid.abs_total * arith.reciprocal_sum(_totients(moduli))
     S4 = Fraction(sum(map(abs, mid.classes)))
-    return DecompositionResult(S1, S2, S3, S4, lhs, params)
+    return DecompositionResult(S1, S2, S3, S4, 4 * _gap_sum(full, moduli), params)

@@ -72,68 +72,63 @@ def _strike(arr: np.ndarray, first: int, base: np.ndarray) -> None:
 
 
 def odd_mask(first: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Bool array over the odd first + 2i < hi, first >= 3, true at the primes; base as below."""
+    """Bool array over the odd first + 2i < hi, first >= 3, true at primes; base as _strike's."""
     odd = np.ones((hi - first + 1) // 2, dtype=bool)
     _strike(odd, first, base)
     return odd
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), lo >= 2, as int64, from base = the primes <= sqrt(hi - 1).
-
-    The odd primes are read off odd_mask, and 2 is added when the segment
-    starts at 2.
-    """
-    first = lo | 1
-    primes = np.flatnonzero(odd_mask(first, hi, base))
+def odd_primes(first: int, mask: np.ndarray) -> np.ndarray:
+    """The int64 first + 2i at the true entries i of an odd_mask."""
+    primes = np.flatnonzero(mask)
     primes *= 2
     primes += first
-    return np.insert(primes, 0, 2) if lo == 2 else primes
+    return primes
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit as one segment, its own base primes found the same way."""
+    """Primes <= limit as one segment: 2, then one odd_mask's, its base found the same way."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return _sieve_segment(2, limit + 1, _base_primes(isqrt(limit)))
+    return np.insert(odd_primes(3, odd_mask(3, limit + 1, _base_primes(isqrt(limit)))), 0, 2)
+
+
+def prime_masks(limit: int) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """The primes <= sqrt(limit), then (first, odd_mask) per SEGMENT_LENGTH numbers past them.
+
+    2 is in no mask, and none is kept once yielded.  A limit outside
+    0..STREAM_LIMIT is a precondition error, raised before any sieving.
+    """
+    check_stream_limit(limit)
+    root = isqrt(limit)
+    base = _base_primes(root)
+    masks = (
+        (lo | 1, odd_mask(lo | 1, min(lo + SEGMENT_LENGTH, limit + 1), base))
+        for lo in range(root + 1, limit + 1, SEGMENT_LENGTH)
+    )
+    return base, masks
 
 
 def iter_prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays that together hold all primes <= limit.
 
-    First the primes <= sqrt(limit), then each nonempty segment of
-    SEGMENT_LENGTH numbers from sqrt(limit) + 1 on.  A limit below 0 or
-    above STREAM_LIMIT is a precondition error, raised before any sieving.
+    First the primes <= sqrt(limit), then the nonempty primes of each mask of
+    prime_masks, 2 put in front of the first when limit is 2 or 3.  Limits as
+    in prime_masks.
     """
-    check_stream_limit(limit)
+    base, masks = prime_masks(limit)
     if limit < 2:
         return
-    root = isqrt(limit)
-    base = _base_primes(root)
     yield base
-    for lo in range(root + 1, limit + 1, SEGMENT_LENGTH):
-        seg = _sieve_segment(lo, min(lo + SEGMENT_LENGTH, limit + 1), base)
+    two = not base.size  # limits 2 and 3: 2 leads the first mask's primes
+    for first, mask in masks:
+        seg = odd_primes(first, mask)
+        del mask
+        if two:
+            seg, two = np.insert(seg, 0, 2), False
         if seg.size:
             yield seg
         del seg  # so a consumer that drops it holds one segment while the next is sieved
-
-
-def prime_masks(limit: int) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """The primes <= sqrt(limit), then (first, odd_mask) per later segment of iter_prime_segments.
-
-    The stream limit is checked before any sieving.
-    """
-    check_stream_limit(limit)
-    root = isqrt(limit)
-    base = _base_primes(root)
-
-    def masks():
-        for lo in range(max(root + 1, 2), limit + 1, SEGMENT_LENGTH):
-            mask = odd_mask(lo | 1, min(lo + SEGMENT_LENGTH, limit + 1), base)
-            yield lo | 1, mask
-            del mask  # before the next mask is struck
-
-    return base, masks()
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -317,14 +312,15 @@ def _prime_power_segments(limit: int, dtype, identity: int, local, leftover):
         yield seg
 
 
-def _prime_power_table(limit: int, dtype, identity: int, local, leftover) -> np.ndarray:
-    """The segments of _prime_power_segments laid into one table over 0..limit; index 0 is 0."""
+def _prime_power_table(limit: int, dtype, segments) -> np.ndarray:
+    """The segments over 1..limit laid into one read-only table over 0..limit; index 0 is 0."""
     out = np.empty(limit + 1, dtype=dtype)
     out[0] = 0
     lo = 1
-    for seg in _prime_power_segments(limit, dtype, identity, local, leftover):
+    for seg in segments:
         out[lo : lo + seg.size] = seg
         lo += seg.size
+    out.flags.writeable = False
     return out
 
 
@@ -430,10 +426,7 @@ def totient_segments(limit: int) -> Iterator[np.ndarray]:
 @lru_cache(maxsize=4)
 def totient_table(limit: int) -> np.ndarray:
     """Euler phi for 0..limit as an int32 array (phi[0] = 0); phi(n) <= n <= 2**24."""
-    check_bulk_limit(limit)
-    phi = _prime_power_table(limit, np.int32, 1, _phi_local, _phi_leftover)
-    phi.flags.writeable = False
-    return phi
+    return _prime_power_table(limit, np.int32, totient_segments(limit))
 
 
 def _sigma_local(view, p, e):
@@ -449,9 +442,8 @@ def _sigma_leftover(view, rem):
 def sigma_table(limit: int) -> np.ndarray:
     """Sum of divisors sigma(n) for 0..limit as an int64 array (sigma[0] = 0)."""
     check_bulk_limit(limit)
-    sigma = _prime_power_table(limit, np.int64, 1, _sigma_local, _sigma_leftover)
-    sigma.flags.writeable = False
-    return sigma
+    segments = _prime_power_segments(limit, np.int64, 1, _sigma_local, _sigma_leftover)
+    return _prime_power_table(limit, np.int64, segments)
 
 
 def _omega_local(view, p, e):
@@ -471,7 +463,4 @@ def omega_segments(limit: int) -> Iterator[np.ndarray]:
 @lru_cache(maxsize=4)
 def omega_table(limit: int) -> np.ndarray:
     """Omega (prime factors with multiplicity) for 0..limit as uint8."""
-    check_bulk_limit(limit)
-    om = _prime_power_table(limit, np.uint8, 0, _omega_local, _omega_leftover)
-    om.flags.writeable = False
-    return om
+    return _prime_power_table(limit, np.uint8, omega_segments(limit))

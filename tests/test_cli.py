@@ -535,16 +535,6 @@ def test_only_checker_commands_import_lemmas(argv, imported):
     assert out.splitlines()[-1] == str(imported)
 
 
-@pytest.mark.parametrize("fmt, imported", [("json", False), ("csv", True)])
-def test_only_csv_reports_import_csv(fmt, imported):
-    # Every command is a fresh process, so a module it never needs costs
-    # each JSON report its import.
-    out = fresh_python("import sys\nfrom linnikbv import cli\n"
-                       f"cli.main(['rsum', '--x', '1000', '--format', {fmt!r}])\n"
-                       "print('csv' in sys.modules)")
-    assert out.splitlines()[-1] == str(imported)
-
-
 PARSER_EXITS = [
     [], ["--help"], ["bogus"], ["lemma", "nope"], ["lemma", "hooley15", "--which", "4"],
     ["rsum", "--help"], ["lemma", "--help"], ["scan", "--help"], ["rsum", "--x", "9", "--n", "5"],

@@ -408,6 +408,22 @@ def test_murty_sum_builds_no_phi_table():
     assert oracles.peak_bytes(lemmas.murty_sum, 10**6) < 1 << 21
 
 
+def test_sum_reciprocals_lets_go_of_each_summed_array():
+    # A first int64 array of 4 * 10^5 terms (3.2 MB), past the term cutoff,
+    # then three of 10^5 (800 KB): at most the first beside the next one
+    # built, or two small ones and one fsum chunk (640 KiB), within 512 KiB.
+    # Holding the first to the end adds two small arrays and a chunk.
+    big, small = 4 * 10**5, 10**5
+
+    def arrays():
+        yield np.arange(1, big + 1)
+        for k in range(3):
+            yield np.arange(big + 1 + k * small, big + 1 + (k + 1) * small)
+
+    bound = 8 * (big + small) + (1 << 19)
+    assert oracles.peak_bytes(lemmas._sum_reciprocals, arrays()) < bound
+
+
 def test_hooley13q_sum_scales_the_picked_indices_in_place():
     # Omega comes one kernel segment at a time, as phi does for murty_sum:
     # four kernel arrays of TABLE_SEGMENT_LENGTH at most 32 bits wide

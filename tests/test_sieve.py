@@ -99,26 +99,6 @@ def test_prime_segment_shape_pinned(monkeypatch):
                 _assert_segment_shape(limit)
 
 
-def test_prime_masks_read_the_segment_primes(monkeypatch):
-    # linnik_constant and brun_titchmarsh_check read the odd masks in place
-    # of iter_prime_segments: past the base primes, each mask must hold the
-    # primes of one segment, wherever its edges fall.
-    squares = [n for p in (2, 3, 5, 31, 97) for n in (p * p - 1, p * p, p * p + 1)]
-    for length in (None, 1, 2, 7, 64):
-        if length:
-            monkeypatch.setattr(sieve, "SEGMENT_LENGTH", length)
-        limits = list(range(4, 300)) + squares[1:]
-        if length is None:
-            limits += [2 * sieve.SEGMENT_LENGTH + 4096, 2 * sieve.SEGMENT_LENGTH + 4097]
-        for limit in limits:
-            base, masks = sieve.prime_masks(limit)
-            read = [base] + [np.flatnonzero(mask) * 2 + first for first, mask in masks]
-            want = list(sieve.iter_prime_segments(limit))
-            assert [r.tolist() for r in read if r.size] == [w.tolist() for w in want], limit
-    base, masks = sieve.prime_masks(3)  # 2 is in no mask
-    assert base.size == 0 and [(first, mask.tolist()) for first, mask in masks] == [(3, [True])]
-
-
 def _stream(X, ranges, dtype=np.int16):
     """chi_range_sums's windows joined per range over m = 0..(X - 1) // 2."""
     got = [[] for _ in ranges]
