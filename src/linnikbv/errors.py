@@ -6,7 +6,7 @@ class PreconditionError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Invalid engine configuration, e.g. a zero segment length."""
+    """A whole-range table asked for past the bulk cap (CLI exit code 3)."""
 
 
 def brief_int(n: int) -> str:

@@ -32,14 +32,13 @@ from .sieve import (
     check_stream_limit,
     f_enveloping,
     omega_segments,
-    omega_table,
     open_range,
     prime_array,
     prime_masks,
     sigma_table,
     totient_segments,
 )
-from .sieve import divisors_of, totient_table  # noqa: F401  perfbench/tracer.py wraps them here
+from .sieve import divisors_of, omega_table, totient_table  # noqa: F401  perfbench/tracer.py wraps
 
 Real = Union[int, float, Fraction]
 
@@ -92,13 +91,6 @@ def _sum_ratios(terms, count: int) -> Union[Fraction, float]:
     return math.fsum(t / b for t, b in terms)
 
 
-def _fsum_chunks(arrays, f) -> float:
-    # fsum is correctly rounded: neither the chunks nor the arrays can change the result.
-    step = REDUCTION_CHUNK
-    chunks = (f(arr[lo : lo + step]).tolist() for arr in arrays for lo in range(0, arr.size, step))
-    return math.fsum(itertools.chain.from_iterable(chunks))
-
-
 def _sum_reciprocals(arrays) -> Union[Fraction, float]:
     """Sum of 1/n over the integer arrays, exact up to the term cutoff.
 
@@ -115,7 +107,9 @@ def _sum_reciprocals(arrays) -> Union[Fraction, float]:
         if count > EXACT_SUM_TERM_LIMIT:
             terms = itertools.chain(iter(held), arrays)  # an exhausted iter lets go of held
             del held, dens  # so the arrays held so far go once they are summed
-            return _fsum_chunks(terms, lambda c: 1.0 / c)
+            step = REDUCTION_CHUNK
+            chunks = (a[i : i + step] for a in terms for i in range(0, a.size, step))
+            return math.fsum(itertools.chain.from_iterable((1.0 / c).tolist() for c in chunks))
     return arith.reciprocal_sum(np.concatenate(held))
 
 
@@ -212,14 +206,15 @@ def omega_power_sum(y: int, alpha: Real) -> Union[Fraction, float]:
         raise PreconditionError(f"omega_power_sum requires y >= 1, got {y}")
     if not Fraction(1, 2) <= alpha <= Fraction(7, 4):
         raise PreconditionError(f"alpha must lie in [1/2, 7/4], got {alpha}")
-    alpha_frac = Fraction(alpha)
-    om = omega_table(y)[1:]
-    if alpha_frac.denominator <= EXACT_ALPHA_DENOMINATOR and y <= EXACT_SUM_TERM_LIMIT:
-        counts = np.bincount(om).tolist()
-        return sum((c * alpha_frac**k for k, c in enumerate(counts)), Fraction(0))
-    af = float(alpha_frac)
-    powers = np.array([af**k for k in range(int(om.max()) + 1)])
-    return _fsum_chunks([om], lambda c: powers[c])
+    segments = omega_segments(y)  # the bulk cap is checked before any work
+    counts = np.zeros(y.bit_length(), dtype=np.int64)  # c_k, k = Omega(n) <= log2 y
+    for om in segments:
+        counts += np.bincount(om, minlength=counts.size)
+    a = Fraction(alpha)
+    if a.denominator > EXACT_ALPHA_DENOMINATOR or y > EXACT_SUM_TERM_LIMIT:
+        a = float(a)  # the fsum of a**Omega(n) over the n is this exact sum rounded once
+    total = sum((c * Fraction(a**k) for k, c in enumerate(counts.tolist())), Fraction(0))
+    return total if isinstance(a, Fraction) else float(total)
 
 
 def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, float]:
@@ -231,18 +226,14 @@ def hooley13_sum(y: int, alpha: float, omega: float = 1.0) -> Union[Fraction, fl
         raise PreconditionError(f"hooley13_sum requires y >= 16 (> e^e), got {y}")
     if not 0.5 <= alpha < 1:
         raise PreconditionError(f"alpha must lie in [1/2, 1), got {alpha}")
-    shrink, stretch = _log_powers(y, omega)
-    lo = math.sqrt(y) * shrink
-    hi = math.sqrt(y) * stretch
+    lo, hi = (math.sqrt(y) * f for f in _log_powers(y, omega))
     if hi > BULK_TABLE_LIMIT:
         raise PreconditionError(
             f"the window end sqrt(y)(log y)^omega = {hi:.6g} exceeds the bulk cap "
             f"{BULK_TABLE_LIMIT}; lower y or omega"
         )
-    threshold = alpha * _loglog(y)
     first, last = open_range(lo, hi)  # last <= int(hi)
-    ns = np.arange(first, last + 1)
-    return _sum_reciprocals([ns[omega_table(int(hi))[ns] <= threshold]])
+    return _sum_reciprocals(_picks(omega_segments(last), np.less_equal, alpha * _loglog(y), first))
 
 
 def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
@@ -255,15 +246,16 @@ def hooley13q_sum(y: int, alpha: float, q: int) -> Union[Fraction, float]:
         raise PreconditionError(f"q must be positive, got {q}")
     threshold = alpha * _loglog(y) - 1.0
     segments = omega_segments(y)  # the bulk cap is checked before any work
-    return _sum_reciprocals(_multiples_above(segments, q, threshold) if q <= y else ())
+    return _sum_reciprocals(_picks(segments, np.greater, threshold, 1, q) if q <= y else ())
 
 
-def _multiples_above(segments, q: int, threshold: float) -> Iterator[np.ndarray]:
-    """Per Omega segment, the multiples n of q in it with Omega(n) > threshold."""
+def _picks(segments, compare, threshold: float, first: int, q: int = 1) -> Iterator[np.ndarray]:
+    """Per Omega segment, its multiples n >= first of q with compare(Omega(n), threshold)."""
     lo = 1
     for om in segments:
-        offset = -lo % q
-        n = np.flatnonzero(om[offset::q] > threshold)
+        start = max(lo, first)
+        offset = start - lo + -start % q
+        n = np.flatnonzero(compare(om[offset::q], threshold))
         n *= q
         n += lo + offset
         lo += om.size

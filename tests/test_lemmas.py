@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from math import gcd
@@ -154,6 +155,28 @@ def test_omega_power_examples():
 def test_omega_power_degenerates_to_counting():
     for y in (1, 10, 100, 10**4):
         assert lemmas.omega_power_sum(y, 1) == y
+
+
+@functools.lru_cache(maxsize=1)
+def _omegas(y):
+    return [oracles.omega(n) for n in range(1, y + 1)]
+
+
+@pytest.mark.parametrize(
+    "y, alpha",
+    [(100, 1.3), (20_000, 1.5), (20_001, 1.5), (10**5, 0.75), (10**5, 1.75)],
+)
+def test_omega_power_float_path_is_the_fsum_of_the_powers(y, alpha):
+    # A float alpha of large denominator, or y past the term cutoff, takes
+    # the float path: the bytes of an fsum of float(alpha)**Omega(n) per n.
+    exact = (Fraction(alpha).denominator <= lemmas.EXACT_ALPHA_DENOMINATOR
+             and y <= lemmas.EXACT_SUM_TERM_LIMIT)
+    value = lemmas.omega_power_sum(y, alpha)
+    assert isinstance(value, Fraction if exact else float)
+    if exact:
+        assert value == sum((Fraction(alpha) ** k for k in _omegas(y)), Fraction(0))
+    else:
+        assert value == math.fsum(float(alpha) ** k for k in _omegas(y))
 
 
 def test_hooley13_examples():
@@ -432,6 +455,36 @@ def test_hooley13q_sum_scales_the_picked_indices_in_place():
     # whole-range uint8 Omega table over 0..10^6 is 1 MB, and an int64
     # index per multiple of 4 up to 10^6 is 2 MB.
     assert oracles.peak_bytes(lemmas.hooley13q_sum, 10**6, 1.25, 4) < 1 << 21
+
+
+def test_omega_power_sum_builds_no_omega_table():
+    # Omega comes one kernel segment at a time into a bincount of at most
+    # log2 y + 1 counts: four kernel arrays of TABLE_SEGMENT_LENGTH at most
+    # 32 bits wide (1 MiB) within 2 MiB.  The uint8 Omega table over
+    # 0..4*10^6 alone is 4 MB.
+    assert oracles.peak_bytes(lemmas.omega_power_sum, 4 * 10**6, 1.3) < 1 << 21
+
+
+def test_hooley13_sum_picks_its_window_segment_by_segment():
+    # The window (29.5, 3.39*10^6) of y = 10^8 at omega 2 holds about
+    # 9*10^5 n with Omega(n) <= 2, past the term cutoff: four kernel arrays (1 MiB)
+    # and one segment's picks or one fsum chunk within 2 MiB.  An int64
+    # index over the window alone is 27 MB.
+    assert oracles.peak_bytes(lemmas.hooley13_sum, 10**8, 0.75, 2.0) < 1 << 21
+
+
+@pytest.mark.parametrize("length", [1, 7, 64, 1000])
+def test_omega_checkers_segment_consistency(length, monkeypatch):
+    # The Omega checkers read the kernel a segment at a time; where the
+    # segments end must not change a value.  y = 5000 spans several
+    # segments at each length, and hooley13's window (27.5, 3640.7) at
+    # y = 10^5 crosses the edges at every multiple of the length.
+    cases = [(lemmas.omega_power_sum, 5000, alpha) for alpha in (1.5, 1.3)]
+    cases += [(lemmas.hooley13_sum, 10**5, 0.75, 1.0)]
+    cases += [(lemmas.hooley13q_sum, 5000, 1.25, q) for q in (1, 3, 7, 64, 1000)]
+    whole = [fn(*args) for fn, *args in cases]  # one segment: 5000 < TABLE_SEGMENT_LENGTH
+    monkeypatch.setattr(sieve, "TABLE_SEGMENT_LENGTH", length)
+    assert [fn(*args) for fn, *args in cases] == whole
 
 
 def test_epq_empty_range():
