@@ -29,7 +29,6 @@ from .linnik import (
     decompose,
     discrepancy,
     linnik_constant,
-    split_r_by_ranges,
     sum_r_shifted_primes,
     theta0,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "primes_up_to",
     "r_two_squares",
     "r_via_identity",
-    "split_r_by_ranges",
     "sum_r_shifted_primes",
     "theta0",
 ]

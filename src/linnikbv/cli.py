@@ -165,7 +165,7 @@ def _lemma(ns):
     lemma_id = ns.lemma_id
     if lemma_id == "epq":
         _require(ns, "x", "p", "q")
-        count, signed = lemmas._epq_scan(ns.p, ns.q, _params(ns, need_A=False))
+        count, signed = lemmas.epq(ns.p, ns.q, _params(ns, need_A=False))
         row = {"p": ns.p, "q": ns.q, "E": count, "F": signed}
         return [row], list(row), {"lemma": "epq", "x": ns.x, "a": ns.a}
     params, inputs = _checker_inputs(ns, lemmas.CHECKERS[lemma_id])

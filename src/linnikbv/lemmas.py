@@ -172,7 +172,9 @@ def count_N(n: int, r: int) -> int:
 
 
 def f_progression_sum(y: int, k: int, a: int, params: Params) -> int:
-    """Exact sum of the enveloping-sieve value over n < y with n = a (k)."""
+    """Exact sum of the enveloping-sieve value over n < y with n = a (k); y >= 1."""
+    if y < 1:
+        raise PreconditionError(f"f_progression_sum requires y >= 1, got {y}")
     if y > params.X:
         raise PreconditionError(f"y = {y} exceeds X = {params.X}")
     if k < 1:
@@ -362,7 +364,9 @@ def murty_sum(X: int) -> Union[Fraction, float]:
     return _sum_reciprocals(totient_segments(X))
 
 
-def _epq_scan(p: int, q: int, params: Params) -> tuple[int, int]:
+def epq(p: int, q: int, params: Params) -> tuple[int, int]:
+    """(E, F): E counts the d in (D, X/D), (d, q) = 1, with p = l(d, q) mod dq and
+    (l(d, q), dq) = 1, where l lifts 1 mod d and a mod q; F weights each by chi(d)."""
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
     if p > params.X:
@@ -385,17 +389,6 @@ def _epq_scan(p: int, q: int, params: Params) -> tuple[int, int]:
             count += 1
             signed += arith.chi(d)
     return count, signed
-
-
-def e_pq(p: int, q: int, params: Params) -> int:
-    """Count of d in (D, X/D), (d, q) = 1, with p = l(d, q) mod dq and
-    (l(d, q), dq) = 1, where l lifts 1 mod d and a mod q."""
-    return _epq_scan(p, q, params)[0]
-
-
-def f_pq(p: int, q: int, params: Params) -> int:
-    """Same range and congruence conditions as e_pq, weighted by chi(d)."""
-    return _epq_scan(p, q, params)[1]
 
 
 # --- the checker table ---------------------------------------------------

@@ -201,13 +201,12 @@ def _moduli(params: Params) -> list[int]:
     return [q for q in range(1, top + 1) if math.gcd(q, params.a) == 1]
 
 
-def _gap_sum(sums: RangeSums, moduli: list[int]) -> Fraction:
-    """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q the class sums and T the total.
+def _gap_sum(sums: RangeSums, phis: np.ndarray) -> Fraction:
+    """Exact sum over the moduli q of |W_q - T/phi(q)|, W_q the class sums, T the total.
 
-    |W_q - T/phi| = |W_q phi - T| / phi, so the integer gaps are summed
-    exactly by one arith.reciprocal_sum over their phi(q).
+    phis holds the phi(q) in the classes' order.  |W_q - T/phi| = |W_q phi - T| / phi,
+    so the integer gaps are summed exactly by one arith.reciprocal_sum.
     """
-    phis = _totients(moduli)
     gaps = (abs(w * phi - sums.total) for w, phi in zip(sums.classes, phis.tolist()))
     return arith.reciprocal_sum(phis, gaps)
 
@@ -222,32 +221,7 @@ def bv_sum(params: Params) -> Fraction:
     moduli = _moduli(params)
     X = params.X
     (full,) = sums_at_primes(X, params.a, moduli, [(1, X)], np.uint8)
-    return 4 * _gap_sum(full, moduli)
-
-
-def split_r_by_ranges(p: int, params: Params) -> tuple[int, int, int]:
-    """chi sums over divisors of p - 1 in the ranges cut at D and X/D.
-
-    Four times the combined total recovers r(p - 1) whenever the two cut
-    points do not cross (D < X/D), which holds for every nonnegative
-    exponent choice except D = sqrt(X) exactly.
-    """
-    if p > params.X:
-        raise PreconditionError(f"p = {p} exceeds X = {params.X}")
-    if p < 2 or arith.factorize_trial(p) != [(p, 1)]:
-        raise PreconditionError(f"p = {p} is not prime")
-    D = params.D
-    upper = params.X / D
-    low = mid = high = 0
-    for d in arith.divisors(p - 1):
-        c = arith.chi(d)
-        if d <= D:
-            low += c
-        if D < d < upper:
-            mid += c
-        if d >= upper:
-            high += c
-    return low, mid, high
+    return 4 * _gap_sum(full, _totients(moduli))
 
 
 def decompose(params: Params) -> DecompositionResult:
@@ -276,8 +250,9 @@ def decompose(params: Params) -> DecompositionResult:
     parts = whole or (low, mid, high)
     classes = [sum(c) for c in zip(*(s.classes for s in parts))]
     full = RangeSums(classes, sum(s.total for s in parts), 0)
-    S1 = _gap_sum(low, moduli)
-    S2 = _gap_sum(high, moduli)
-    S3 = mid.abs_total * arith.reciprocal_sum(_totients(moduli))
+    phis = _totients(moduli)
+    S1 = _gap_sum(low, phis)
+    S2 = _gap_sum(high, phis)
+    S3 = mid.abs_total * arith.reciprocal_sum(phis)
     S4 = Fraction(sum(map(abs, mid.classes)))
-    return DecompositionResult(S1, S2, S3, S4, 4 * _gap_sum(full, moduli), params)
+    return DecompositionResult(S1, S2, S3, S4, 4 * _gap_sum(full, phis), params)

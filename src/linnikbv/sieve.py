@@ -19,7 +19,7 @@ chi_range_sums reads b(m) at m = (p - 1)/2 (chi vanishes at even d, so
 b(2m) = b(m)) one block of m at a time, holding one window, whose entries
 at odd composites 2m + 1 _strike zeroes in place, so no array spans the
 range and it runs to STREAM_LIMIT; chi_divisor_sums is the kernel over a
-whole range under the bulk cap, cached.  The squarefree-prime product P is
+whole range under the bulk cap.  The squarefree-prime product P is
 never formed; only its prime support below the smoothness bound Y is
 stored.  No prime stream goes past STREAM_LIMIT = 2**30.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -136,9 +135,8 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for seg in iter_prime_segments(limit) for p in seg.tolist()]
 
 
-@lru_cache(maxsize=8)
 def prime_array(limit: int) -> np.ndarray:
-    """Cached read-only array of primes <= limit."""
+    """Read-only array of primes <= limit."""
     segs = list(iter_prime_segments(limit))
     arr = np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
     arr.flags.writeable = False
@@ -324,11 +322,10 @@ def _prime_power_table(limit: int, dtype, segments) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
 def chi_divisor_sums(limit: int) -> np.ndarray:
     """uint8 array b with b[n] = sum of chi(d) over divisors d of n, 0 <= n <= limit.
 
-    The window of _chi_divisor_window over every d, cached and read-only;
+    The window of _chi_divisor_window over every d, read-only;
     r(n) = 4 * b[n], and b[2n] = b[n] since chi(d) = 0 at even d.
     Built mod 256, which is exact since every b[n] is in 0..96 for n < 2**29.
     """
@@ -423,7 +420,6 @@ def totient_segments(limit: int) -> Iterator[np.ndarray]:
     return _prime_power_segments(limit, np.int32, 1, _phi_local, _phi_leftover)
 
 
-@lru_cache(maxsize=4)
 def totient_table(limit: int) -> np.ndarray:
     """Euler phi for 0..limit as an int32 array (phi[0] = 0); phi(n) <= n <= 2**24."""
     return _prime_power_table(limit, np.int32, totient_segments(limit))
@@ -438,7 +434,6 @@ def _sigma_leftover(view, rem):
     view *= np.where(rem > 1, rem + 1, 1)
 
 
-@lru_cache(maxsize=4)
 def sigma_table(limit: int) -> np.ndarray:
     """Sum of divisors sigma(n) for 0..limit as an int64 array (sigma[0] = 0)."""
     check_bulk_limit(limit)
@@ -460,7 +455,6 @@ def omega_segments(limit: int) -> Iterator[np.ndarray]:
     return _prime_power_segments(limit, np.uint8, 0, _omega_local, _omega_leftover)
 
 
-@lru_cache(maxsize=4)
 def omega_table(limit: int) -> np.ndarray:
     """Omega (prime factors with multiplicity) for 0..limit as uint8."""
     return _prime_power_table(limit, np.uint8, omega_segments(limit))

@@ -55,7 +55,9 @@ def factorize(n):
 
 
 def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Sorted divisors of n: the d <= sqrt(n) found by trial, and their cofactors."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def phi(n):

@@ -69,7 +69,7 @@ def test_divisor_range_split_identity():
         Params(N, 0.0, override_exponent=2.0),
     ):
         for p in primes:
-            triple = linnik.split_r_by_ranges(p, params)
+            triple = oracles.split_chi_ranges(p, params.X, params.D)
             assert 4 * sum(triple) == sieve.r_two_squares(p - 1)
     _announce("divisor-range split identity holds to 1e5 under 3 parameter sets")
 
@@ -242,7 +242,7 @@ def test_lemma_checker_oracle_suite():
     epq_params = Params(10**4, 0.0, 1, override_exponent=1.0)
     for p, q in EPQ_GRID:
         expected = oracles.epq_scan(p, q, 1, 10**4, epq_params.D)
-        got = (lemmas.e_pq(p, q, epq_params), lemmas.f_pq(p, q, epq_params))
+        got = lemmas.epq(p, q, epq_params)
         assert got == expected
         assert abs(got[1]) <= got[0]
 

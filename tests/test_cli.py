@@ -238,6 +238,8 @@ def test_decompose_ratio_undefined_at_zero_total(capsys, fmt):
         ["scan", "hooley1", "--x", "1000", "--omega", "0"],
         ["lemma", "hooley15", "--x", "1000", "--u", "5", "--n", "6", "--which", "3",
          "--u-prime", "0"],
+        ["lemma", "f_progression", "--x", "10000", "--y", "0", "--q", "3"],
+        ["lemma", "f_progression", "--x", "10000", "--y", "-7", "--q", "3"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )

@@ -489,24 +489,24 @@ def test_omega_checkers_segment_consistency(length, monkeypatch):
 
 def test_epq_empty_range():
     params = Params(10**4, 0.0, 1, override_exponent=-1.0)  # D > X/D
-    assert lemmas.e_pq(101, 4, params) == 0
-    assert lemmas.f_pq(101, 4, params) == 0
+    assert lemmas.epq(101, 4, params) == (0, 0)
 
 
 def test_epq_synthetic_oracle():
     params = Params(10**4, 0.0, 1, override_exponent=1.0)  # D ~ 10.86
-    assert (lemmas.e_pq(101, 4, params), lemmas.f_pq(101, 4, params)) == (1, 1)
+    assert lemmas.epq(101, 4, params) == (1, 1)
     for p in (101, 997):
         for q in (1, 3, 4):
             expected = oracles.epq_scan(p, q, params.a, params.X, params.D)
-            assert (lemmas.e_pq(p, q, params), lemmas.f_pq(p, q, params)) == expected
+            assert lemmas.epq(p, q, params) == expected
 
 
 def test_f_bounded_by_e():
     params = Params(10**4, 0.0, 1, override_exponent=1.5)
     for p in (11, 101, 601, 2113, 9973):
         for q in (1, 2, 3, 4, 5, 12):
-            assert abs(lemmas.f_pq(p, q, params)) <= lemmas.e_pq(p, q, params)
+            count, signed = lemmas.epq(p, q, params)
+            assert abs(signed) <= count
 
 
 def test_report_ratios_finite_and_reproducible():

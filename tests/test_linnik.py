@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import linnikbv
 from linnikbv import arith, lemmas, linnik, sieve
 from linnikbv.errors import PreconditionError
 from linnikbv.sieve import Params
@@ -182,29 +183,46 @@ def test_discrepancy_sums_over_reduced_residues():
 
 def test_split_r_p2():
     params = Params(10**4, 0.0)
-    assert sum(linnik.split_r_by_ranges(2, params)) == 1
+    assert sum(oracles.split_chi_ranges(2, params.X, params.D)) == 1
 
 
 def test_split_r_oracle_triples():
-    params = Params(10**4, 0.0)
-    for p in (13, 97):
-        expected = oracles.split_chi_ranges(p, params.X, params.D)
-        assert linnik.split_r_by_ranges(p, params) == expected
+    # The per-prime split against the window kernel over decompose's three
+    # ranges, read at n = p - 1.
+    params = Params(10**4, 0.0, override_exponent=1.0)  # D ~ 10.86
+    first, last = sieve.open_range(params.D, params.X / params.D)
+    ranges = [(1, first - 1), (first, last), (last + 1, params.X)]
+    for p in (13, 97, 2113, 9973):
+        expected = tuple(
+            int(sieve._chi_divisor_window(params.X, lo, hi, start=p - 1, stop=p)[0])
+            for lo, hi in ranges
+        )
+        assert oracles.split_chi_ranges(p, params.X, params.D) == expected
+    assert oracles.split_chi_ranges(9973, params.X, params.D) == (1, 0, 1)  # 9972 = 4 * 9 * 277
 
 
 def test_split_r_identity_small():
     for params in (Params(10**4, 0.0), Params(10**4, 2.0), Params(10**4, 0.0, override_exponent=3.0)):
         for p in oracles.primes(3000):
-            triple = linnik.split_r_by_ranges(p, params)
+            triple = oracles.split_chi_ranges(p, params.X, params.D)
             assert 4 * sum(triple) == oracles.r_lattice(p - 1)
 
 
-def test_split_r_preconditions():
-    params = Params(100, 0.0)
-    with pytest.raises(PreconditionError):
-        linnik.split_r_by_ranges(101, params)
-    with pytest.raises(PreconditionError):
-        linnik.split_r_by_ranges(91, params)  # 7 * 13
+def test_one_totient_lookup_per_command(monkeypatch):
+    # bv_sum and decompose read phi(q) once for all their gap sums.
+    calls = []
+    table = sieve.totient_table
+    monkeypatch.setattr(linnik, "totient_table", lambda limit: calls.append(limit) or table(limit))
+    params = Params(10**4, 2.0, override_exponent=1.0)
+    for fn in (linnik.bv_sum, linnik.decompose):
+        calls.clear()
+        fn(params)
+        assert len(calls) == 1, fn.__name__
+
+
+def test_every_exported_name_resolves():
+    for name in linnikbv.__all__:
+        assert getattr(linnikbv, name, None) is not None, name
 
 
 def test_bv_sum_trivial_when_Q_is_one():

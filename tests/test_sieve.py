@@ -484,25 +484,22 @@ def test_sigma_table_at_prime_powers_near_the_bulk_cap():
     # in the kernel would wrap.
     limit = sieve.BULK_TABLE_LIMIT
     powers = [(2, 24), (3, 15), (5, 10), (7, 8), (13, 6), (23, 5), (61, 4), (251, 3), (4093, 2)]
-    try:
-        table = sieve.sigma_table(limit)
-        for p, e in powers:
-            assert p**e <= limit
-            assert int(table[p**e]) == sum(p**k for k in range(e + 1))
-        # The largest prime below the cap, and twice a prime square near it.
-        assert int(table[16777213]) == 16777214
-        assert int(table[2 * 2879**2]) == 3 * (1 + 2879 + 2879**2)
-    finally:
-        sieve.sigma_table.cache_clear()  # a 128 MB table
+    table = sieve.sigma_table(limit)
+    for p, e in powers:
+        assert p**e <= limit
+        assert int(table[p**e]) == sum(p**k for k in range(e + 1))
+    # The largest prime below the cap, and twice a prime square near it.
+    assert int(table[16777213]) == 16777214
+    assert int(table[2 * 2879**2]) == 3 * (1 + 2879 + 2879**2)
 
 
 
 @pytest.mark.parametrize("name", ["totient_table", "sigma_table", "omega_table"])
 def test_prime_power_table_segment_consistency(name, monkeypatch):
     # The kernel walks its range in TABLE_SEGMENT_LENGTH pieces; where the
-    # pieces end must not change a single entry.  __wrapped__ skips the cache.
+    # pieces end must not change a single entry.
     limit = 5000
-    build = getattr(sieve, name).__wrapped__
+    build = getattr(sieve, name)
     whole = build(limit)
     for length in (1, 7, 64, 1000, 4999, 5000):
         monkeypatch.setattr(sieve, "TABLE_SEGMENT_LENGTH", length)
@@ -516,7 +513,7 @@ def test_concurrent_table_construction_is_consistent():
     # with the ones built one at a time.
     limit = 40000
     names = ["chi_divisor_sums", "totient_table", "sigma_table", "omega_table"]
-    builds = [getattr(sieve, n).__wrapped__ for n in names] * 2
+    builds = [getattr(sieve, n) for n in names] * 2
     with ThreadPoolExecutor(max_workers=4) as pool:
         tables = list(pool.map(lambda build: build(limit), builds))
         segments = list(pool.map(lambda n: np.concatenate(list(sieve.iter_prime_segments(n))),
